@@ -108,7 +108,7 @@ struct SnapshotAccess
         }
     }
 
-    /** vector/deque with per-element callback f(ar, element). */
+    /** vector/ring with per-element callback f(ar, element). */
     template <class Ar, class V, class F>
     static void
     ioVec(Ar &ar, V &v, F f)
@@ -165,6 +165,57 @@ struct SnapshotAccess
                 fkey(ar, k);
                 fval(ar, m.find(k)->second);
             }
+        }
+    }
+
+    /**
+     * The live-message table as (id, record) pairs in ascending id
+     * order, the bytes of the sorted-map encoding. Restore inserts the
+     * records ascending into the emptied table; Network::
+     * rebuildActivity() then rebuilds the ordered live-id index. Every
+     * restored id must lie in [0, @p next_id), the network's next id to
+     * issue, so a corrupt id cannot size the table's window.
+     */
+    template <class Ar>
+    static void
+    ioMessages(Ar &ar, MessageTable &table, MsgId next_id)
+    {
+        std::uint64_t n = static_cast<std::uint64_t>(table.size());
+        ar.u64(n);
+        if constexpr (Ar::isReader) {
+            if (n > ar.remaining()) {
+                ar.fail("implausible checkpoint container size");
+                return;
+            }
+            table.clear();
+            MsgId prev = 0;
+            for (std::uint64_t i = 0; i < n; ++i) {
+                if (!ar.ok())
+                    return;
+                MsgId id = 0;
+                ar.i64(id);
+                if (i > 0 && id <= prev) {
+                    ar.fail("checkpoint message ids not ascending");
+                    return;
+                }
+                if (id < 0 || id >= next_id) {
+                    ar.fail("checkpoint message id out of range");
+                    return;
+                }
+                Message &msg = table.insert(id);
+                io(ar, msg);
+                if (ar.ok() && msg.id != id) {
+                    ar.fail("checkpoint message record under a foreign id");
+                    return;
+                }
+                prev = id;
+            }
+        } else {
+            table.forEach([&ar](Message &msg) {
+                MsgId id = msg.id;
+                ar.i64(id);
+                io(ar, msg);
+            });
         }
     }
 
@@ -328,9 +379,20 @@ struct SnapshotAccess
         ar.b(m.measured);
         io(ar, m.hdr);
         ioVec(ar, m.path, [](Ar &a, PathHop &h) { io(a, h); });
-        ioMap(ar, m.visited, std::less<NodeId>{},
-              [](Ar &a, NodeId &k) { a.i32(k); },
-              [](Ar &a, std::uint32_t &v) { a.u32(v); });
+        // The history store, frames ascending by node: the bytes of
+        // the sorted-map encoding; a restore must find them ascending.
+        ioVec(ar, m.visited, [](Ar &a, TriedFrame &f) {
+            a.i32(f.node);
+            a.u32(f.tried);
+        });
+        if constexpr (Ar::isReader) {
+            for (std::size_t i = 1; i < m.visited.size(); ++i) {
+                if (m.visited[i - 1].node >= m.visited[i].node) {
+                    ar.fail("checkpoint history store not ascending");
+                    return;
+                }
+            }
+        }
         ioInt(ar, m.srcCounter);
         ioInt(ar, m.srcK);
         ar.b(m.srcHold);
@@ -514,9 +576,18 @@ struct SnapshotAccess
     io(Ar &ar, Network &net)
     {
         const auto msgIdIo = [](Ar &a, MsgId &m) { a.i64(m); };
-        const auto inRefIo = [](Ar &a, InRef &r) {
+        const auto inRefIo = [&net](Ar &a, InRef &r) {
             a.i32(r.link);
             ioInt(a, r.vc);
+            if constexpr (Ar::isReader) {
+                if (r.link < 0 ||
+                    static_cast<std::size_t>(r.link) >= net.links_.size() ||
+                    r.vc < 0 || r.vc >= net.cfg_.vcsPerLink()) {
+                    a.fail("checkpoint crossbar input out of range");
+                    return;
+                }
+                r = net.inputRef(r.link, r.vc);
+            }
         };
 
         io(ar, net.rng_);
@@ -565,8 +636,7 @@ struct SnapshotAccess
             ar.u64(rt.headersRouted);
         }
 
-        ioMap(ar, net.messages_, std::less<MsgId>{}, msgIdIo,
-              [](Ar &a, Message &m) { io(a, m); });
+        ioMessages(ar, net.messages_, net.nextMsgId_);
 
         ioCheckCount(ar, net.injQ_.size(), "injection-queue");
         for (auto &q : net.injQ_)

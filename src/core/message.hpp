@@ -12,8 +12,8 @@
 #ifndef TPNET_CORE_MESSAGE_HPP
 #define TPNET_CORE_MESSAGE_HPP
 
+#include <algorithm>
 #include <limits>
-#include <unordered_map>
 #include <vector>
 
 #include "routing/header.hpp"
@@ -34,37 +34,28 @@ enum class MsgState : std::uint8_t {
 /** Sentinel for "the leading data flit has already been ejected". */
 constexpr int leadEjected = std::numeric_limits<int>::max();
 
+/** Output ports a probe has already searched at one node. */
+struct TriedFrame
+{
+    NodeId node = invalidNode;
+    std::uint32_t tried = 0;  ///< bit per output port
+};
+
 /** One end-to-end message. */
 struct Message
 {
+    // The fields the data phase reads on every injection and flit move
+    // come first, so they share the record's first cache line.
     MsgId id = invalidMsg;
     NodeId src = invalidNode;
     NodeId dst = invalidNode;
     int length = 0;  ///< data flits (tail included)
 
-    Cycle created = 0;
-    Cycle deliveredAt = 0;
-
     MsgState state = MsgState::Queued;
     /** Created inside the measurement window (counts toward statistics). */
     bool measured = false;
 
-    /** Live routing-probe state. */
-    HeaderState hdr;
-
-    /** Reserved circuit, source to probe/tail frontier. */
-    std::vector<PathHop> path;
-
-    /**
-     * History store of the depth-first backtracking search (Fig. 10):
-     * output ports already searched at each node during the current
-     * setup attempt. Cleared on every re-try.
-     */
-    std::unordered_map<NodeId, std::uint32_t> visited;
-
     // --- Source-side flow control gate (the injection channel's CMU) -----
-    int srcCounter = 0;
-    int srcK = 0;
     bool srcHold = false;
 
     /** True once path[0] has been reserved (header left the source RCU). */
@@ -76,8 +67,31 @@ struct Message
     /** Still occupying a slot of the source injection queue. */
     bool inQueue = true;
 
+    /** A kill walk is tearing this circuit down. */
+    bool beingKilled = false;
+
+    int srcCounter = 0;
+    int srcK = 0;
+
     /** Data flits injected into the network so far (0..length). */
     int injectedFlits = 0;
+
+    /** Reserved circuit, source to probe/tail frontier. */
+    std::vector<PathHop> path;
+
+    Cycle created = 0;
+    Cycle deliveredAt = 0;
+
+    /** Live routing-probe state. */
+    HeaderState hdr;
+
+    /**
+     * History store of the depth-first backtracking search (Fig. 10):
+     * output ports already searched at each node during the current
+     * setup attempt, one frame per node kept sorted by node. Cleared
+     * on every re-try.
+     */
+    std::vector<TriedFrame> visited;
 
     /** Data flits ejected at the destination so far. */
     int arrivedFlits = 0;
@@ -99,9 +113,6 @@ struct Message
 
     /** Probe is currently enqueued at some router's RCU. */
     bool inRcu = false;
-
-    /** A kill walk is tearing this circuit down. */
-    bool beingKilled = false;
 
     /** The active teardown is voluntary (setup abort), not a fault kill. */
     bool killIsAbort = false;
@@ -161,6 +172,18 @@ struct Message
     int detoursBuilt = 0;
     int backtracksTaken = 0;
     int misroutesTaken = 0;
+
+    /** The history-store frame at @p node (created empty on first use). */
+    std::uint32_t &
+    triedAt(NodeId node)
+    {
+        auto it = std::lower_bound(
+            visited.begin(), visited.end(), node,
+            [](const TriedFrame &f, NodeId n) { return f.node < n; });
+        if (it == visited.end() || it->node != node)
+            it = visited.insert(it, TriedFrame{node, 0});
+        return it->tried;
+    }
 
     bool
     terminal() const

@@ -71,11 +71,11 @@ Network::rebuildActivity()
         if (!nodeFaulty(node) && !dataNodeIdle(node))
             dataActive_.add(static_cast<std::uint32_t>(node));
     }
+    // The table visits ids ascending, so the index comes out sorted.
     liveIds_.clear();
     liveIds_.reserve(messages_.size());
-    for (const auto &[id, msg] : messages_)
-        liveIds_.push_back(id);
-    std::sort(liveIds_.begin(), liveIds_.end());
+    messages_.forEach(
+        [this](const Message &msg) { liveIds_.push_back(msg.id); });
 }
 
 bool
@@ -113,12 +113,9 @@ Network::nextInternalEvent() const
 {
     Cycle next = cycleNever;
     for (MsgId id : retryList_) {
-        const auto it = messages_.find(id);
-        if (it == messages_.end())
-            continue;
-        const Message &msg = it->second;
-        if (msg.state == MsgState::WaitRetry && msg.retryAt < next)
-            next = msg.retryAt;
+        const Message *msg = messages_.find(id);
+        if (msg && msg->state == MsgState::WaitRetry && msg->retryAt < next)
+            next = msg->retryAt;
     }
     for (const PendingRestore &pr : pendingRestores_)
         next = std::min(next, pr.at);
@@ -140,23 +137,6 @@ Network::skipTo(Cycle target)
     if (cwg_)
         cwg_->skipTo(target - 1);
     now_ = target;
-}
-
-Message *
-Network::findMessage(MsgId id)
-{
-    auto it = messages_.find(id);
-    return it == messages_.end() ? nullptr : &it->second;
-}
-
-std::vector<MsgId>
-Network::liveMessageIds() const
-{
-    // Sorted so reports are independent of the message table's
-    // iteration order (which differs between an organically grown
-    // table and one rebuilt from a checkpoint). The index is kept
-    // sorted incrementally — no per-call sort.
-    return liveIds_;
 }
 
 Message &
@@ -196,8 +176,7 @@ Network::offerMessage(NodeId src, NodeId dst, const OfferSpec &spec)
     }
 
     const MsgId id = nextMsgId_++;
-    Message msg;
-    msg.id = id;
+    Message &msg = messages_.insert(id);
     msg.src = src;
     msg.dst = dst;
     msg.length = spec.length > 0 ? spec.length : cfg_.msgLength;
@@ -215,7 +194,6 @@ Network::offerMessage(NodeId src, NodeId dst, const OfferSpec &spec)
         msg.srcHold = true;
     else if (msg.hdr.flow == FlowMode::Scout)
         msg.srcK = cfg_.scoutK;  // the injection channel's K register
-    auto emplaced = messages_.emplace(id, std::move(msg));
     liveIds_.push_back(id);  // ids are monotonic: stays sorted
     queue.push_back(id);
     ++liveMessages_;
@@ -228,7 +206,7 @@ Network::offerMessage(NodeId src, NodeId dst, const OfferSpec &spec)
             ++cs->measuredGenerated;
     }
     if (trace_)
-        trace_->messageCreated(now_, emplaced.first->second);
+        trace_->messageCreated(now_, msg);
 
     if (queue.front() == id)
         activateFront(src);
@@ -379,16 +357,19 @@ Network::dataVisit(NodeId node)
 
     // --- Ejection: one flit per node per cycle --------------------
     const std::size_t ejn = rt.ejectInputs.size();
+    std::size_t pick = ejn == 0 ? 0 : rt.ejectRR % ejn;
     for (std::size_t e = 0; e < ejn; ++e) {
-        const InRef in = rt.ejectInputs[(e + rt.ejectRR) % ejn];
-        VcState &vc = link(in.link).vcs[static_cast<std::size_t>(in.vc)];
+        VcState &vc = *rt.ejectInputs[pick].state;
+        const std::size_t at = pick;
+        if (++pick == ejn)
+            pick = 0;
         if (vc.data.empty() || !vc.dataEnabled())
             continue;
         Flit &front = vc.data.front();
         if (front.readyAt > now_)
             continue;
         const Flit flit = vc.data.pop();
-        rt.ejectRR = (e + rt.ejectRR + 1) % ejn;
+        rt.ejectRR = at + 1 == ejn ? 0 : at + 1;
         noteActivity();
         Message *msg = findMessage(flit.msg);
         if (msg && !msg->beingKilled)
@@ -397,24 +378,49 @@ Network::dataVisit(NodeId node)
     }
 
     // --- One data flit per output link ----------------------------
-    for (int port = 0; port < topo_->radix(); ++port) {
+    // Only the injection-queue front can inject, and only through its
+    // first hop's port: resolve both once, and again after a tail
+    // injection pops the queue.
+    Message *inj = nullptr;
+    int injPort = -1;
+    const auto resolveInjection = [&] {
+        inj = injectableFront(node);
+        injPort = -1;
+        if (!inj)
+            return;
+        if (inj->path.empty())
+            tpnet_panic("srcRouted message with empty path");
+        const Link &first = link(inj->path[0].link);
+        if (first.src == node)
+            injPort = first.srcPort;
+    };
+    resolveInjection();
+
+    const int radix = topo_->radix();
+    for (int port = 0; port < radix; ++port) {
         Link &out = linkAt(node, port);
         if (out.faulty)
             continue;
         auto &cands = rt.mappedInputs[static_cast<std::size_t>(port)];
         const std::size_t cn = cands.size();
         bool moved = false;
-        for (std::size_t c = 0; c < cn && !moved; ++c) {
-            const std::size_t pick =
-                (c + rt.outRR[static_cast<std::size_t>(port)]) % cn;
-            const InRef in = cands[pick];
-            if (tryMoveData(link(in.link), in.vc, rt)) {
-                rt.outRR[static_cast<std::size_t>(port)] = pick + 1;
-                moved = true;
+        if (cn > 0) {
+            std::size_t &rr = rt.outRR[static_cast<std::size_t>(port)];
+            std::size_t c = rr < cn ? rr : rr % cn;
+            for (std::size_t n = 0; n < cn; ++n) {
+                if (tryMoveData(cands[c], rt)) {
+                    rr = c + 1;
+                    moved = true;
+                    break;
+                }
+                if (++c == cn)
+                    c = 0;
             }
         }
-        if (!moved)
-            moved = tryInjectOn(node, port);
+        if (!moved && port == injPort && tryInject(node, *inj) &&
+            !inj->inQueue) {
+            resolveInjection();
+        }
     }
 }
 
@@ -423,37 +429,36 @@ Network::dataNodeIdle(NodeId node) const
 {
     const Router &rt = routers_[static_cast<std::size_t>(node)];
     for (const InRef &in : rt.ejectInputs) {
-        if (!link(in.link).vcs[static_cast<std::size_t>(in.vc)]
-                 .data.empty()) {
+        if (!in.state->data.empty())
             return false;
-        }
     }
     for (const auto &cands : rt.mappedInputs) {
         for (const InRef &in : cands) {
-            if (!link(in.link).vcs[static_cast<std::size_t>(in.vc)]
-                     .data.empty()) {
+            if (!in.state->data.empty())
                 return false;
-            }
         }
     }
+    return injectableFront(node) == nullptr;
+}
+
+Message *
+Network::injectableFront(NodeId node) const
+{
     const auto &queue = injQ_[static_cast<std::size_t>(node)];
-    if (!queue.empty()) {
-        const auto it = messages_.find(queue.front());
-        if (it != messages_.end()) {
-            const Message &msg = it->second;
-            if (msg.state == MsgState::Active && msg.srcRouted &&
-                !msg.beingKilled) {
-                return false;
-            }
-        }
+    if (queue.empty())
+        return nullptr;
+    Message *msg = messages_.find(queue.front());
+    if (!msg || msg->state != MsgState::Active || !msg->srcRouted ||
+        msg->beingKilled) {
+        return nullptr;
     }
-    return true;
+    return msg;
 }
 
 bool
-Network::tryMoveData(Link &lk, int vcIdx, Router &rt)
+Network::tryMoveData(InRef in, Router &rt)
 {
-    VcState &vc = lk.vcs[static_cast<std::size_t>(vcIdx)];
+    VcState &vc = *in.state;
     if (vc.data.empty() || !vc.dataEnabled())
         return false;
     Flit &front = vc.data.front();
@@ -489,7 +494,7 @@ Network::tryMoveData(Link &lk, int vcIdx, Router &rt)
         tpnet_panic("data flit of retired message in flight: msg=",
                     flit.msg, " type=", flitTypeName(flit.type),
                     " seq=", flit.seq, " hop=", flit.hopIdx,
-                    " link=", lk.id, " vc=", vcIdx, " owner=", vc.owner);
+                    " link=", in.link, " vc=", in.vc, " owner=", vc.owner);
 
     if (flit.type == FlitType::Header) {
         // Inline wormhole probe made a hop.
@@ -504,80 +509,69 @@ Network::tryMoveData(Link &lk, int vcIdx, Router &rt)
 }
 
 bool
-Network::tryInjectOn(NodeId node, int port)
+Network::tryInject(NodeId node, Message &msg)
 {
-    auto &queue = injQ_[static_cast<std::size_t>(node)];
-    if (queue.empty())
+    // Data moves earlier in this visit may have torn the front down.
+    if (msg.state != MsgState::Active || !msg.srcRouted || msg.beingKilled)
         return false;
-    Message *msg = findMessage(queue.front());
-    if (!msg || msg->state != MsgState::Active || !msg->srcRouted ||
-        msg->beingKilled) {
-        return false;
-    }
-    if (msg->path.empty())
-        tpnet_panic("srcRouted message with empty path");
-    Link &first = link(msg->path[0].link);
-    if (first.src != node || first.srcPort != port)
-        return false;
+    Link &first = link(msg.path[0].link);
     if (first.faulty)
         return false;
 
-    VcState &vc = first.vcs[static_cast<std::size_t>(msg->path[0].vc)];
-    if (vc.owner != msg->id || vc.data.full())
+    VcState &vc = first.vcs[static_cast<std::size_t>(msg.path[0].vc)];
+    if (vc.owner != msg.id || vc.data.full())
         return false;
 
     const bool inline_hdr = proto_->inlineHeader();
-    if (inline_hdr && !msg->headerInjected) {
+    if (inline_hdr && !msg.headerInjected) {
         Flit flit;
         flit.type = FlitType::Header;
-        flit.msg = msg->id;
+        flit.msg = msg.id;
         flit.seq = 0;
         flit.hopIdx = 0;
         flit.readyAt = now_ + 1;
         vc.data.push(flit);
         dataWake(first.dst);
-        msg->headerInjected = true;
+        msg.headerInjected = true;
         ++counters_.dataCrossings;
         noteActivity();
         if (trace_) {
             trace_->flitInjected(now_, node, flit);
-            trace_->flitCrossed(now_, first, msg->path[0].vc, flit, false);
+            trace_->flitCrossed(now_, first, msg.path[0].vc, flit, false);
         }
         // The inline probe just crossed the first reserved hop.
-        probeArrived(*msg, 0);
+        probeArrived(msg, 0);
         return true;
     }
 
     // Source-side flow control gate (the injection channel's CMU).
-    if (msg->srcHold || msg->srcCounter < msg->srcK)
+    if (msg.srcHold || msg.srcCounter < msg.srcK)
         return false;
-    if (msg->injectedFlits >= msg->length)
-        return false;
-    if (inline_hdr && !msg->headerInjected)
+    if (msg.injectedFlits >= msg.length)
         return false;
 
     Flit flit;
-    flit.msg = msg->id;
-    flit.seq = msg->injectedFlits + 1;
-    flit.type = flit.seq == msg->length ? FlitType::Tail : FlitType::Data;
+    flit.msg = msg.id;
+    flit.seq = msg.injectedFlits + 1;
+    flit.type = flit.seq == msg.length ? FlitType::Tail : FlitType::Data;
     flit.hopIdx = 0;
     flit.readyAt = now_ + 1;
     vc.data.push(flit);
     dataWake(first.dst);
-    ++msg->injectedFlits;
+    ++msg.injectedFlits;
     if (flit.seq == 1)
-        msg->leadHop = 0;
+        msg.leadHop = 0;
     ++counters_.dataCrossings;
     noteActivity();
     if (trace_) {
         trace_->flitInjected(now_, node, flit);
-        trace_->flitCrossed(now_, first, msg->path[0].vc, flit, false);
+        trace_->flitCrossed(now_, first, msg.path[0].vc, flit, false);
     }
 
-    if (msg->injectedFlits == msg->length) {
+    if (msg.injectedFlits == msg.length) {
         // Tail has left the PE; the injection channel frees up.
-        queue.pop_front();
-        msg->inQueue = false;
+        injQ_[static_cast<std::size_t>(node)].pop_front();
+        msg.inQueue = false;
         activateFront(node);
     }
     return true;
@@ -679,10 +673,10 @@ void
 Network::retireMessages()
 {
     for (MsgId id : retired_) {
-        auto it = messages_.find(id);
-        if (it == messages_.end())
+        const Message *found = messages_.find(id);
+        if (!found)
             continue;
-        const Message &msg = it->second;
+        const Message &msg = *found;
         if (!msg.terminal())
             tpnet_panic("retiring non-terminal message");
         if (trace_) {
@@ -696,7 +690,7 @@ Network::retireMessages()
             cwg_->onMessageGone(id);
         if (retire_)
             retire_->messageRetired(now_, msg);
-        messages_.erase(it);
+        messages_.erase(id);
         const auto pos =
             std::lower_bound(liveIds_.begin(), liveIds_.end(), id);
         if (pos != liveIds_.end() && *pos == id)

@@ -29,6 +29,7 @@
 
 #include "core/engine.hpp"
 #include "core/message.hpp"
+#include "core/message_table.hpp"
 #include "metrics/collector.hpp"
 #include "verify/cwg.hpp"
 #include "router/link.hpp"
@@ -210,12 +211,16 @@ class Network
      */
     void attachRetireListener(RetireListener *l) { retire_ = l; }
 
-    /** @return the message or nullptr if retired. */
-    Message *findMessage(MsgId id);
+    /** @return the message or nullptr if retired (or never issued). */
+    Message *findMessage(MsgId id) { return messages_.find(id); }
     Message &message(MsgId id);
 
-    /** Ids of all non-retired messages, sorted ascending. */
-    std::vector<MsgId> liveMessageIds() const;
+    /**
+     * Ids of all non-retired messages, sorted ascending — independent
+     * of the message table's layout, which differs between an
+     * organically grown table and one rebuilt from a checkpoint.
+     */
+    const std::vector<MsgId> &liveMessageIds() const { return liveIds_; }
 
     RoutingAlgorithm &protocol() { return *proto_; }
 
@@ -414,6 +419,17 @@ class Network
      *  buffered data flit or an injectable queue front keeps it busy). */
     bool dataNodeIdle(NodeId node) const;
 
+    /** The injection-queue front of @p node when it may inject data
+     *  (Active, source-routed, not being torn down), else nullptr. */
+    Message *injectableFront(NodeId node) const;
+
+    /** Crossbar reference to input VC (@p lk, @p vc), trio resolved. */
+    InRef
+    inputRef(LinkId lk, int vc)
+    {
+        return InRef{lk, vc, &link(lk).vcs[static_cast<std::size_t>(vc)]};
+    }
+
     /** Funnel for RCU queue pushes: enqueue + activity registration. */
     void
     enqueueRcu(NodeId node, const RcuEntry &entry)
@@ -451,11 +467,14 @@ class Network
     /** Probe reached its destination: complete the path. */
     void applyEject(Message &msg);
 
-    /** Move one data flit out of (link, vc); true if one moved. */
-    bool tryMoveData(Link &lk, int vc, Router &rt);
+    /** Move one data flit out of input VC @p in; true if one moved. */
+    bool tryMoveData(InRef in, Router &rt);
 
-    /** Try to inject the front message's next flit onto (node, port). */
-    bool tryInjectOn(NodeId node, int port);
+    /**
+     * Try to inject the next flit of @p msg, the injection-queue front
+     * of @p node, onto its first hop. @return true if a flit entered.
+     */
+    bool tryInject(NodeId node, Message &msg);
 
     /** Deliver a data flit to the PE at its destination. */
     void deliverFlit(Message &msg, const Flit &flit);
@@ -551,7 +570,7 @@ class Network
 
     std::vector<Link> links_;
     std::vector<Router> routers_;
-    std::unordered_map<MsgId, Message> messages_;
+    MessageTable messages_;
     std::vector<std::deque<MsgId>> injQ_;
     std::vector<MsgId> retryList_;
     std::vector<MsgId> retired_;

@@ -123,7 +123,7 @@ Network::applyForward(Message &msg, const Decision &d)
         pvc.routed = true;
         pvc.outPort = d.port;
         pvc.outVc = d.vc;
-        router(cur).mapInput(d.port, InRef{prev.link, prev.vc});
+        router(cur).mapInput(d.port, inputRef(prev.link, prev.vc));
         // The mapping may expose already-buffered flits to this
         // router's data phase.
         dataWake(cur);
@@ -270,7 +270,7 @@ Network::applyEject(Message &msg)
     vc.routed = true;
     vc.outPort = ejectPort;
     vc.outVc = -1;
-    router(msg.dst).mapInput(ejectPort, InRef{last.link, last.vc});
+    router(msg.dst).mapInput(ejectPort, inputRef(last.link, last.vc));
     dataWake(msg.dst);
     msg.headerAtDest = true;
     if (trace_)
@@ -321,7 +321,7 @@ Network::arrivalPort(const Message &msg) const
 std::uint32_t &
 Network::triedHere(Message &msg)
 {
-    return msg.visited[msg.hdr.cur];
+    return msg.triedAt(msg.hdr.cur);
 }
 
 // --- Channel-status queries ------------------------------------------------

@@ -189,7 +189,11 @@ Network::finalizeKillWalk(Message &msg)
         return;
     }
 
-    // Dynamic-fault kill completion.
+    // Dynamic-fault kill completion. A message acknowledgment can
+    // complete the message while a kill walk is still in flight; the
+    // walk's end must not resurrect it as a retransmission.
+    if (msg.terminal())
+        return;
     if (msg.state == MsgState::Delivered) {
         // The tail already reached the destination; only the held path
         // (awaiting the message acknowledgment) was torn down.

@@ -31,14 +31,12 @@ namespace tpnet {
  */
 struct VcState
 {
-    /** Data input buffer (DIBU) at the downstream router. */
-    Fifo<Flit> data;
+    // The arbitration fields the data phase reads on every visit come
+    // first, then the DIBU's bookkeeping and its inline flits, so the
+    // hot state fills the first 48 bytes and the front flit follows.
 
     /** Message whose circuit currently holds this trio. */
     MsgId owner = invalidMsg;
-
-    /** True once the downstream RCU has routed the circuit onward. */
-    bool routed = false;
 
     /** Crossbar mapping at the downstream router (valid when routed). */
     int outPort = -1;
@@ -50,12 +48,18 @@ struct VcState
     /** Programmed scouting distance K for this circuit (Section 5.0). */
     int kReg = 0;
 
+    /** True once the downstream RCU has routed the circuit onward. */
+    bool routed = false;
+
     /**
      * Detour hold: while set, data flits may not leave this channel even
      * if the counter has reached K ("all channels (or none) in a detour
      * are accepted before the data flits resume progress", Section 4.0).
      */
     bool hold = false;
+
+    /** Data input buffer (DIBU) at the downstream router. */
+    Fifo<Flit> data;
 
     /** True when data flits may advance out of this channel. */
     bool

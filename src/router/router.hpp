@@ -21,11 +21,17 @@
 
 namespace tpnet {
 
+struct VcState;
+
 /** Reference to one input virtual channel of a router. */
 struct InRef
 {
     LinkId link = invalidLink;  ///< incoming link (its VCs are our DIBUs)
     int vc = -1;
+    /** The trio itself, resolved when the input is mapped so the data
+     *  phase reaches it without touching the Link (see Network::
+     *  inputRef). Identity is (link, vc) alone. */
+    VcState *state = nullptr;
 
     bool operator==(const InRef &o) const
     {

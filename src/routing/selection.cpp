@@ -11,7 +11,7 @@ namespace tpnet {
 
 namespace select {
 
-std::vector<int>
+PortList
 profitableByOffset(const Network &net, const Message &msg)
 {
     // The topology returns profitable ports already in its selection

@@ -138,7 +138,7 @@ struct SimConfig
     // --- Virtual channel layout (per unidirectional physical link) --------
     int adaptiveVcs = 2;  ///< Duato's unrestricted partition
     int escapeVcs = 2;    ///< deterministic partition (dateline classes)
-    int bufDepth = 4;     ///< data FIFO (DIBU) depth per VC, in flits
+    int bufDepth = defaultBufDepth;  ///< DIBU depth per VC, in flits
 
     // --- Messages ----------------------------------------------------------
     int msgLength = 32;   ///< data flits per message (header is 1 extra)

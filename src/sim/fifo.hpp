@@ -10,14 +10,21 @@
 #define TPNET_SIM_FIFO_HPP
 
 #include <cstddef>
+#include <cstdint>
 #include <vector>
 
 #include "sim/log.hpp"
+#include "sim/types.hpp"
 
 namespace tpnet {
 
 /**
  * Fixed-capacity FIFO of trivially copyable elements.
+ *
+ * Capacities up to defaultBufDepth live inside the object (no heap
+ * buffer, so the head element sits next to the FIFO's own bookkeeping);
+ * larger ones spill to a heap buffer. Indices wrap with a compare, never
+ * a division.
  *
  * @tparam T element type (Flit in practice).
  */
@@ -27,16 +34,17 @@ class Fifo
   public:
     Fifo() = default;
 
-    explicit Fifo(std::size_t capacity)
-        : buf_(capacity), cap_(capacity)
-    {}
+    explicit Fifo(std::size_t capacity) { reset(capacity); }
 
     /** Re-initialize with a new capacity, dropping all contents. */
     void
     reset(std::size_t capacity)
     {
-        buf_.assign(capacity, T{});
-        cap_ = capacity;
+        if (capacity > inlineCap)
+            heap_.assign(capacity, T{});
+        else
+            heap_.clear();
+        cap_ = static_cast<std::uint32_t>(capacity);
         head_ = 0;
         size_ = 0;
     }
@@ -53,7 +61,7 @@ class Fifo
     {
         if (full())
             tpnet_panic("push into full FIFO (capacity ", cap_, ")");
-        buf_[(head_ + size_) % cap_] = v;
+        buf()[wrap(head_ + size_)] = v;
         ++size_;
     }
 
@@ -63,7 +71,7 @@ class Fifo
     {
         if (empty())
             tpnet_panic("front of empty FIFO");
-        return buf_[head_];
+        return buf()[head_];
     }
 
     const T &
@@ -71,7 +79,7 @@ class Fifo
     {
         if (empty())
             tpnet_panic("front of empty FIFO");
-        return buf_[head_];
+        return buf()[head_];
     }
 
     /** Remove and return the oldest element. */
@@ -79,7 +87,7 @@ class Fifo
     pop()
     {
         T v = front();
-        head_ = (head_ + 1) % cap_;
+        head_ = wrap(head_ + 1);
         --size_;
         return v;
     }
@@ -98,14 +106,32 @@ class Fifo
     {
         if (i >= size_)
             tpnet_panic("FIFO index ", i, " out of range ", size_);
-        return buf_[(head_ + i) % cap_];
+        return buf()[wrap(head_ + static_cast<std::uint32_t>(i))];
     }
 
   private:
-    std::vector<T> buf_;
-    std::size_t cap_ = 0;
-    std::size_t head_ = 0;
-    std::size_t size_ = 0;
+    /** Ring index @p i < 2 * cap_ folded into [0, cap_). */
+    std::uint32_t
+    wrap(std::uint32_t i) const
+    {
+        return i >= cap_ ? i - cap_ : i;
+    }
+
+    T *buf() { return cap_ <= inlineCap ? inline_ : heap_.data(); }
+
+    const T *
+    buf() const
+    {
+        return cap_ <= inlineCap ? inline_ : heap_.data();
+    }
+
+    static constexpr std::size_t inlineCap = defaultBufDepth;
+
+    std::uint32_t head_ = 0;
+    std::uint32_t size_ = 0;
+    std::uint32_t cap_ = 0;
+    T inline_[inlineCap] = {};
+    std::vector<T> heap_;
 };
 
 } // namespace tpnet

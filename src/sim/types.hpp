@@ -42,6 +42,12 @@ constexpr int maxDims = 4;
  */
 constexpr int maxPorts = 32;
 
+/**
+ * Default data FIFO (DIBU) depth per VC, in flits. Fifo stores buffers
+ * of up to this many flits inline, without a heap buffer.
+ */
+constexpr int defaultBufDepth = 4;
+
 /** Sentinel output port meaning "deliver to the local PE". */
 constexpr int ejectPort = -2;
 

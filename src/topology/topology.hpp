@@ -39,6 +39,44 @@ namespace tpnet {
 /** Signed per-dimension offsets from a node to a destination. */
 using OffsetVec = std::array<int, maxDims>;
 
+/**
+ * Fixed-capacity list of output ports (at most maxPorts): the
+ * profitable-port set of one routing decision, built and ordered
+ * without touching the heap.
+ */
+class PortList
+{
+  public:
+    void push_back(int port) { ports_[n_++] = port; }
+    std::size_t size() const { return n_; }
+    bool empty() const { return n_ == 0; }
+    int operator[](std::size_t i) const { return ports_[i]; }
+    const int *begin() const { return ports_.data(); }
+    const int *end() const { return ports_.data() + n_; }
+
+    /**
+     * Order the ports so that @p before(a, b) puts a ahead of b; ports
+     * that compare equal keep their insertion order (the same result
+     * as std::stable_sort, by insertion sort).
+     */
+    template <class Before>
+    void
+    stableSort(Before before)
+    {
+        for (std::size_t i = 1; i < n_; ++i) {
+            const int port = ports_[i];
+            std::size_t j = i;
+            for (; j > 0 && before(port, ports_[j - 1]); --j)
+                ports_[j] = ports_[j - 1];
+            ports_[j] = port;
+        }
+    }
+
+  private:
+    std::array<int, maxPorts> ports_{};
+    std::size_t n_ = 0;
+};
+
 class TorusTopology;
 
 /** Abstract network topology (see file comment for the contract). */
@@ -132,7 +170,7 @@ class Topology
      * decreasing remaining offset magnitude; the default orders by
      * ascending port number.
      */
-    virtual std::vector<int> profitablePorts(NodeId cur, NodeId dst) const;
+    virtual PortList profitablePorts(NodeId cur, NodeId dst) const;
 
     /** True when the hop out of (cur, port) makes minimal progress. */
     virtual bool portProfitable(NodeId cur, int port, NodeId dst) const;

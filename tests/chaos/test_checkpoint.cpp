@@ -5,6 +5,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <filesystem>
 #include <fstream>
 #include <sstream>
@@ -300,6 +301,44 @@ TEST(CheckpointState, StateRoundTripsIntoFreshHarness)
     EXPECT_EQ(campaignStateDigest(stB), digestA);
 }
 
+TEST(CheckpointState, LiveIdsAscendAfterRestore)
+{
+    // The restored message table is rebuilt from sorted records, the
+    // organic one grew by monotonic inserts and retirements; the live-
+    // id view and every lookup must agree between the two, also after
+    // both runs go on issuing and retiring messages.
+    const SimConfig cfg = harnessConfig();
+    Harness a(cfg);
+    a.run(300);
+    CampaignState stA = a.state();
+    obs::CkWriter w;
+    serializeCampaign(w, stA);
+    std::ostringstream os(std::ios::binary);
+    w.writeTo(os, 1);
+
+    Harness b(cfg);
+    CampaignState stB = b.state();
+    std::istringstream is(os.str(), std::ios::binary);
+    obs::CkReader r(is);
+    ASSERT_TRUE(deserializeCampaign(r, stB)) << r.error();
+
+    for (int round = 0; round < 2; ++round) {
+        const std::vector<MsgId> &idsA = a.net.liveMessageIds();
+        const std::vector<MsgId> &idsB = b.net.liveMessageIds();
+        ASSERT_FALSE(idsA.empty());
+        EXPECT_TRUE(std::is_sorted(idsB.begin(), idsB.end()));
+        EXPECT_EQ(idsB, idsA);
+        for (MsgId id : idsB) {
+            const Message *m = b.net.findMessage(id);
+            ASSERT_NE(m, nullptr) << id;
+            EXPECT_EQ(m->id, id);
+        }
+        a.run(300);
+        b.run(300);
+    }
+    EXPECT_EQ(campaignStateDigest(stB), campaignStateDigest(stA));
+}
+
 TEST(CheckpointState, FileRejectsWrongConfigAndCorruption)
 {
     const fs::path path = scratchFile("harness.ck");
@@ -334,6 +373,18 @@ TEST(CheckpointState, FileRejectsWrongConfigAndCorruption)
     fs::remove(path);
     EXPECT_FALSE(
         readCampaignCheckpoint(path.string(), 1234, stB, &error));
+
+    // A message id far past the next id to issue: the restore must
+    // refuse it rather than size the message table's window by it.
+    ASSERT_FALSE(a.net.liveMessageIds().empty());
+    a.net.findMessage(a.net.liveMessageIds().back())->id = MsgId{1} << 50;
+    ASSERT_TRUE(
+        writeCampaignCheckpoint(path.string(), 1234, st, &error))
+        << error;
+    EXPECT_FALSE(
+        readCampaignCheckpoint(path.string(), 1234, stB, &error));
+    EXPECT_NE(error.find("message id out of range"), std::string::npos)
+        << error;
 }
 
 /** Cheap campaign with live faults for the golden-digest tests. */
