@@ -743,15 +743,24 @@ struct SnapshotAccess
         ar.u64(w.lastComposite_);
         ar.u64(w.lastActivity_);
         ar.b(w.deadlocked_);
-        ioMap(ar, w.tracks_, std::less<MsgId>{},
-              [](Ar &a, MsgId &k) { a.i64(k); },
-              [](Ar &a, auto &t) {
-                  a.u64(t.sig);
-                  a.u64(t.sig2);
-                  a.u64(t.lastChange);
-                  a.u64(t.lastChange2);
-                  a.b(t.flagged);
-              });
+        // The bytes of the sorted-map encoding: (id, track) pairs by
+        // ascending id, which is also the order the watchdog keeps.
+        ioVec(ar, w.tracks_, [](Ar &a, auto &t) {
+            a.i64(t.id);
+            a.u64(t.sig);
+            a.u64(t.sig2);
+            a.u64(t.lastChange);
+            a.u64(t.lastChange2);
+            a.b(t.flagged);
+        });
+        if constexpr (Ar::isReader) {
+            const auto notAscending = [](const auto &x, const auto &y) {
+                return x.id >= y.id;
+            };
+            if (std::adjacent_find(w.tracks_.begin(), w.tracks_.end(),
+                                   notAscending) != w.tracks_.end())
+                ar.fail("checkpoint watchdog track ids not ascending");
+        }
     }
 
     template <class Ar>
@@ -815,7 +824,7 @@ deserializeCampaign(obs::CkReader &r, CampaignState &st)
 std::uint64_t
 campaignStateDigest(CampaignState &st)
 {
-    obs::CkWriter w;
+    obs::CkWriter w(nullptr);
     serializeCampaign(w, st);
     return w.payloadDigest();
 }
@@ -825,7 +834,7 @@ writeCampaignCheckpoint(const std::string &path,
                         std::uint64_t config_digest, CampaignState &st,
                         std::string *error)
 {
-    obs::CkWriter w;
+    obs::CkWriter w(&st.ckBuffer);
     serializeCampaign(w, st);
 
     const std::string tmp = path + ".tmp";

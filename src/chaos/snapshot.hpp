@@ -29,6 +29,7 @@
 
 #include <cstdint>
 #include <string>
+#include <vector>
 
 namespace tpnet {
 
@@ -61,6 +62,11 @@ struct CampaignState
     Watchdog *watchdog = nullptr;
     Injector *injector = nullptr;
     std::uint8_t phase = 0;
+    /**
+     * Payload buffer writeCampaignCheckpoint() serializes into; kept
+     * here so a campaign's checkpoints reuse one allocation.
+     */
+    std::vector<std::uint8_t> ckBuffer;
 };
 
 /** Serialize the harness into @p w (payload only, no header). */
@@ -74,15 +80,19 @@ void serializeCampaign(obs::CkWriter &w, CampaignState &st);
  */
 bool deserializeCampaign(obs::CkReader &r, CampaignState &st);
 
-/** FNV-1a 64 digest of the serialized harness state. */
+/**
+ * FNV-1a 64 digest of the serialized harness state, folded field by
+ * field without materialising the payload.
+ */
 std::uint64_t campaignStateDigest(CampaignState &st);
 
 /**
  * Write a complete checkpoint file (header + payload) at @p path,
  * atomically (temp file + rename) so a crash mid-write never corrupts
- * the previous checkpoint. @p config_digest identifies the campaign
- * spec (chaos::campaignSpecDigest). @return false with *error set on
- * I/O failure.
+ * the previous checkpoint. The payload is built in @p st.ckBuffer.
+ * @p config_digest identifies the campaign spec
+ * (chaos::campaignSpecDigest). @return false with *error set on I/O
+ * failure.
  */
 bool writeCampaignCheckpoint(const std::string &path,
                              std::uint64_t config_digest,

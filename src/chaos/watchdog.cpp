@@ -59,13 +59,11 @@ Watchdog::nextDeadline() const
         at = std::min(at, lastActivity_ + cfg_.globalStallBound);
     }
     if (cfg_.msgStallBound > 0) {
-        for (const auto &kv : tracks_) {
-            if (kv.second.flagged)
+        for (const MsgTrack &t : tracks_) {
+            if (t.flagged)
                 continue;
-            at = std::min(at,
-                          kv.second.lastChange + cfg_.msgStallBound);
-            at = std::min(at,
-                          kv.second.lastChange2 + cfg_.msgStallBound);
+            at = std::min(at, t.lastChange + cfg_.msgStallBound);
+            at = std::min(at, t.lastChange2 + cfg_.msgStallBound);
         }
     }
     // Cadenced sweeps re-report persistent violations, so every
@@ -212,8 +210,10 @@ Watchdog::checkPerMessageProgress()
     // Queued/WaitRetry messages are skipped: their progress is owned by
     // whatever is ahead of them (which is tracked), and a healthy
     // congested queue can legally hold a message for a long time.
-    std::unordered_map<MsgId, MsgTrack> fresh;
-    fresh.reserve(tracks_.size());
+    // Both the live ids and tracks_ ascend, so one merge carries each
+    // surviving track over and drops the rest.
+    nextTracks_.clear();
+    auto old = tracks_.begin();
     for (MsgId id : net_.liveMessageIds()) {
         const Message *msg = net_.findMessage(id);
         if (!msg || msg->terminal())
@@ -224,10 +224,11 @@ Watchdog::checkPerMessageProgress()
         }
         const std::uint64_t sig = signature(*msg);
         const std::uint64_t sig2 = progressSignature(*msg);
-        MsgTrack track;
-        auto it = tracks_.find(id);
-        if (it != tracks_.end()) {
-            track = it->second;
+        while (old != tracks_.end() && old->id < id)
+            ++old;
+        MsgTrack &track = nextTracks_.emplace_back();
+        if (old != tracks_.end() && old->id == id) {
+            track = *old;
             if (track.sig != sig) {
                 track.sig = sig;
                 track.lastChange = net_.now();
@@ -237,6 +238,7 @@ Watchdog::checkPerMessageProgress()
                 track.lastChange2 = net_.now();
             }
         } else {
+            track.id = id;
             track.sig = sig;
             track.sig2 = sig2;
             track.lastChange = net_.now();
@@ -271,9 +273,8 @@ Watchdog::checkPerMessageProgress()
             report(os.str());
             track.flagged = true;
         }
-        fresh.emplace(id, track);
     }
-    tracks_ = std::move(fresh);
+    tracks_.swap(nextTracks_);
 }
 
 void

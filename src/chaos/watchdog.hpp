@@ -26,7 +26,6 @@
 
 #include <cstdint>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "sim/types.hpp"
@@ -128,13 +127,18 @@ class Watchdog
 
     struct MsgTrack
     {
+        MsgId id = invalidMsg;
         std::uint64_t sig = 0;
         std::uint64_t sig2 = 0;       ///< progressSignature()
         Cycle lastChange = 0;
         Cycle lastChange2 = 0;
         bool flagged = false;
     };
-    std::unordered_map<MsgId, MsgTrack> tracks_;
+    /// Tracked messages in ascending id order, the order of
+    /// Network::liveMessageIds(), so each cycle's update is one merge.
+    std::vector<MsgTrack> tracks_;
+    /// The merge's output buffer, swapped with tracks_ (keeps capacity).
+    std::vector<MsgTrack> nextTracks_;
 };
 
 } // namespace chaos

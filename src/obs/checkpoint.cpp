@@ -1,12 +1,12 @@
 #include "obs/checkpoint.hpp"
 
+#include <algorithm>
 #include <cstring>
 #include <istream>
 #include <ostream>
 #include <sstream>
 
-#include "core/message.hpp"
-#include "router/link.hpp"
+#include "sim/log.hpp"
 
 namespace tpnet::obs {
 
@@ -67,92 +67,39 @@ parseCheckpointHeader(const std::uint8_t *hdr, CheckpointFileInfo *info)
 } // namespace
 
 void
-CkWriter::u8(std::uint8_t &v)
-{
-    payload_.push_back(v);
-}
-
-void
-CkWriter::u16(std::uint16_t &v)
-{
-    for (int i = 0; i < 2; ++i)
-        payload_.push_back(static_cast<std::uint8_t>(v >> (8 * i)));
-}
-
-void
-CkWriter::u32(std::uint32_t &v)
-{
-    for (int i = 0; i < 4; ++i)
-        payload_.push_back(static_cast<std::uint8_t>(v >> (8 * i)));
-}
-
-void
-CkWriter::u64(std::uint64_t &v)
-{
-    for (int i = 0; i < 8; ++i)
-        payload_.push_back(static_cast<std::uint8_t>(v >> (8 * i)));
-}
-
-void
-CkWriter::i32(std::int32_t &v)
-{
-    auto u = static_cast<std::uint32_t>(v);
-    u32(u);
-}
-
-void
-CkWriter::i64(std::int64_t &v)
-{
-    auto u = static_cast<std::uint64_t>(v);
-    u64(u);
-}
-
-void
-CkWriter::f64(double &v)
-{
-    // Bit-pattern transport: restore reproduces the exact double, so
-    // folded statistics stay bit-identical across a round trip.
-    std::uint64_t u;
-    static_assert(sizeof(u) == sizeof(v));
-    std::memcpy(&u, &v, sizeof(u));
-    u64(u);
-}
-
-void
-CkWriter::b(bool &v)
-{
-    std::uint8_t u = v ? 1 : 0;
-    u8(u);
-}
-
-void
 CkWriter::str(std::string &v)
 {
-    auto n = static_cast<std::uint64_t>(v.size());
-    u64(n);
-    payload_.insert(payload_.end(), v.begin(), v.end());
+    put(v.size(), 8);
+    digest_ = fnv1a64(v.data(), v.size(), digest_);
+    if (buf_)
+        std::memcpy(reserve(v.size()), v.data(), v.size());
+    size_ += v.size();
 }
 
-std::uint64_t
-CkWriter::payloadDigest() const
+void
+CkWriter::grow(std::size_t n)
 {
-    return fnv1a64(payload_.data(), payload_.size());
+    // Grow the size a page at a time (the vector doubles its capacity
+    // underneath), so only pages the payload reaches are ever touched.
+    buf_->resize(size_ + std::max<std::size_t>(n, 4096));
 }
 
 void
 CkWriter::writeTo(std::ostream &os, std::uint64_t config_digest) const
 {
+    if (!buf_)
+        tpnet_panic("writeTo on a digest-only checkpoint writer");
     std::uint8_t hdr[checkpointHeaderSize] = {};
     std::memcpy(hdr, checkpointMagic, 4);
     putU16(hdr + 4, checkpointFormatVersion);
     putU16(hdr + 6, 0);
-    putU64(hdr + 8, payload_.size());
-    putU64(hdr + 16, payloadDigest());
+    putU64(hdr + 8, size_);
+    putU64(hdr + 16, digest_);
     putU64(hdr + 24, config_digest);
     putU64(hdr + 32, 0);
     os.write(reinterpret_cast<const char *>(hdr), sizeof(hdr));
-    os.write(reinterpret_cast<const char *>(payload_.data()),
-             static_cast<std::streamsize>(payload_.size()));
+    os.write(reinterpret_cast<const char *>(buf_->data()),
+             static_cast<std::streamsize>(size_));
 }
 
 CkReader::CkReader(std::istream &is)
@@ -166,16 +113,25 @@ CkReader::CkReader(std::istream &is)
     error_ = parseCheckpointHeader(hdr, &info_);
     if (!error_.empty())
         return;
-    payload_.resize(info_.payloadSize);
-    is.read(reinterpret_cast<char *>(payload_.data()),
-            static_cast<std::streamsize>(payload_.size()));
-    const auto got = is.gcount();
-    if (got != static_cast<std::streamsize>(payload_.size())) {
-        std::ostringstream os;
-        os << "truncated checkpoint payload (" << got << " of "
-           << payload_.size() << " bytes)";
-        error_ = os.str();
-        return;
+    // Read in bounded chunks, so the buffer only grows with bytes that
+    // actually arrive: a corrupt payload_size is a truncation, never an
+    // allocation of that size.
+    constexpr std::uint64_t chunk = std::uint64_t{1} << 20;
+    while (payload_.size() < info_.payloadSize) {
+        const std::size_t at = payload_.size();
+        const auto n = static_cast<std::size_t>(
+            std::min(chunk, info_.payloadSize - at));
+        payload_.resize(at + n);
+        is.read(reinterpret_cast<char *>(payload_.data() + at),
+                static_cast<std::streamsize>(n));
+        const auto got = static_cast<std::size_t>(is.gcount());
+        if (got != n) {
+            std::ostringstream os;
+            os << "truncated checkpoint payload (" << at + got << " of "
+               << info_.payloadSize << " bytes)";
+            error_ = os.str();
+            return;
+        }
     }
     char extra;
     if (is.read(&extra, 1), is.gcount() != 0) {
@@ -318,161 +274,11 @@ readCheckpointInfo(std::istream &is, CheckpointFileInfo *info,
 }
 
 void
-DigestTee::fold(const TraceEvent &ev)
-{
-    std::uint8_t rec[traceRecordSize];
-    encodeTraceEvent(ev, rec);
-    digest_ = fnv1a64(rec, sizeof(rec), digest_);
-    ++records_;
-}
-
-void
 DigestTee::reset(Cycle from)
 {
-    digest_ = 14695981039346656037ull;
+    digest_ = fnvOffsetBasis;
     records_ = 0;
     tailFrom_ = from;
-}
-
-// The hook-to-record mapping below mirrors TraceRecorder exactly, so
-// the tee's digest equals the digest of the trace a recorder would
-// have produced for the same event window.
-
-void
-DigestTee::flitCrossed(Cycle now, const Link &link, int vc,
-                       const Flit &flit, bool control_lane)
-{
-    TraceEvent ev;
-    ev.kind = TraceEventKind::FlitCrossed;
-    ev.flitType = static_cast<std::uint8_t>(flit.type);
-    ev.vc = static_cast<std::int8_t>(vc);
-    ev.link = static_cast<std::uint32_t>(link.id);
-    ev.node = static_cast<std::uint32_t>(link.src);
-    ev.cycle = now;
-    ev.msg = flit.msg;
-    ev.seq = flit.seq;
-    ev.hop = flit.hopIdx;
-    ev.epoch = flit.epoch;
-    fold(ev);
-    if (downstream_)
-        downstream_->flitCrossed(now, link, vc, flit, control_lane);
-}
-
-void
-DigestTee::flitInjected(Cycle now, NodeId node, const Flit &flit)
-{
-    TraceEvent ev;
-    ev.kind = TraceEventKind::FlitInjected;
-    ev.flitType = static_cast<std::uint8_t>(flit.type);
-    ev.node = static_cast<std::uint32_t>(node);
-    ev.cycle = now;
-    ev.msg = flit.msg;
-    ev.seq = flit.seq;
-    ev.hop = flit.hopIdx;
-    ev.epoch = flit.epoch;
-    fold(ev);
-    if (downstream_)
-        downstream_->flitInjected(now, node, flit);
-}
-
-void
-DigestTee::flitDelivered(Cycle now, NodeId node, const Flit &flit)
-{
-    TraceEvent ev;
-    ev.kind = TraceEventKind::FlitDelivered;
-    ev.flitType = static_cast<std::uint8_t>(flit.type);
-    ev.node = static_cast<std::uint32_t>(node);
-    ev.cycle = now;
-    ev.msg = flit.msg;
-    ev.seq = flit.seq;
-    ev.hop = flit.hopIdx;
-    ev.epoch = flit.epoch;
-    fold(ev);
-    if (downstream_)
-        downstream_->flitDelivered(now, node, flit);
-}
-
-void
-DigestTee::vcAllocated(Cycle now, const Link &link, int vc,
-                       const Message &msg, int hop_idx)
-{
-    TraceEvent ev;
-    ev.kind = TraceEventKind::VcAllocated;
-    ev.vc = static_cast<std::int8_t>(vc);
-    ev.link = static_cast<std::uint32_t>(link.id);
-    ev.node = static_cast<std::uint32_t>(link.dst);
-    ev.cycle = now;
-    ev.msg = msg.id;
-    ev.hop = hop_idx;
-    ev.epoch = msg.epoch;
-    fold(ev);
-    if (downstream_)
-        downstream_->vcAllocated(now, link, vc, msg, hop_idx);
-}
-
-void
-DigestTee::vcReleased(Cycle now, const Link &link, int vc,
-                      const Message &msg, int hop_idx)
-{
-    TraceEvent ev;
-    ev.kind = TraceEventKind::VcReleased;
-    ev.vc = static_cast<std::int8_t>(vc);
-    ev.link = static_cast<std::uint32_t>(link.id);
-    ev.node = static_cast<std::uint32_t>(link.dst);
-    ev.cycle = now;
-    ev.msg = msg.id;
-    ev.hop = hop_idx;
-    ev.epoch = msg.epoch;
-    fold(ev);
-    if (downstream_)
-        downstream_->vcReleased(now, link, vc, msg, hop_idx);
-}
-
-void
-DigestTee::probeEvent(Cycle now, const Message &msg, ProbeEvent event)
-{
-    TraceEvent ev;
-    ev.kind = TraceEventKind::Probe;
-    ev.detail = static_cast<std::uint8_t>(event);
-    ev.node = static_cast<std::uint32_t>(msg.hdr.cur);
-    ev.cycle = now;
-    ev.msg = msg.id;
-    ev.hop = static_cast<std::int32_t>(msg.path.size()) - 1;
-    ev.epoch = msg.epoch;
-    fold(ev);
-    if (downstream_)
-        downstream_->probeEvent(now, msg, event);
-}
-
-void
-DigestTee::messageCreated(Cycle now, const Message &msg)
-{
-    TraceEvent ev;
-    ev.kind = TraceEventKind::MsgCreated;
-    ev.node = static_cast<std::uint32_t>(msg.src);
-    ev.aux = static_cast<std::uint32_t>(msg.dst);
-    ev.cycle = now;
-    ev.msg = msg.id;
-    ev.seq = msg.length;
-    fold(ev);
-    if (downstream_)
-        downstream_->messageCreated(now, msg);
-}
-
-void
-DigestTee::messageTerminal(Cycle now, const Message &msg,
-                           MsgOutcome outcome)
-{
-    TraceEvent ev;
-    ev.kind = TraceEventKind::MsgTerminal;
-    ev.detail = static_cast<std::uint8_t>(outcome);
-    ev.node = static_cast<std::uint32_t>(msg.src);
-    ev.aux = static_cast<std::uint32_t>(msg.dst);
-    ev.cycle = now;
-    ev.msg = msg.id;
-    fold(ev);
-    if (downstream_)
-        downstream_->messageTerminal(now, msg, outcome);
 }
 
 } // namespace tpnet::obs

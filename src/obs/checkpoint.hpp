@@ -20,8 +20,8 @@
  *
  * DigestTee is a TraceSink that folds every event into a running
  * FNV-1a digest using the exact trace_format record encoding (the
- * same mapping TraceRecorder applies), optionally forwarding to a
- * downstream sink. Resetting it at a checkpoint boundary yields a
+ * TraceEventSink mapping TraceRecorder shares), optionally forwarding
+ * to a downstream sink. Resetting it at a checkpoint boundary yields a
  * "tail digest" over the events after the snapshot — the golden value
  * a restore-then-run must reproduce bit-identically.
  */
@@ -29,13 +29,15 @@
 #ifndef TPNET_OBS_CHECKPOINT_HPP
 #define TPNET_OBS_CHECKPOINT_HPP
 
+#include <bit>
 #include <cstdint>
+#include <cstring>
 #include <iosfwd>
 #include <string>
 #include <vector>
 
+#include "obs/event_sink.hpp"
 #include "obs/trace_format.hpp"
-#include "sim/trace.hpp"
 #include "sim/types.hpp"
 
 namespace tpnet::obs {
@@ -54,35 +56,91 @@ struct CheckpointFileInfo
 };
 
 /**
- * Buffered checkpoint payload writer. Primitives take non-const
- * references so the identical io() field list drives both directions;
- * the writer only reads through them.
+ * Checkpoint payload writer. Primitives take non-const references so
+ * the identical io() field list drives both directions; the writer
+ * only reads through them. Every field is appended whole and folded
+ * into a running FNV-1a payload digest (fnvFold), so payloadDigest()
+ * needs no second pass over the bytes. A writer constructed over
+ * nullptr keeps only that digest and the byte count and never
+ * materialises the payload.
  */
 class CkWriter
 {
   public:
     static constexpr bool isReader = false;
 
-    void u8(std::uint8_t &v);
-    void u16(std::uint16_t &v);
-    void u32(std::uint32_t &v);
-    void u64(std::uint64_t &v);
-    void i32(std::int32_t &v);
-    void i64(std::int64_t &v);
-    void f64(double &v);
-    void b(bool &v);
+    /** Buffer the payload in a writer-owned vector. */
+    CkWriter() : buf_(&own_) {}
+
+    /**
+     * Buffer the payload in @p buf, overwriting its contents; its size
+     * carries over as capacity, so repeated checkpoints reuse one
+     * allocation. nullptr: digest only, no payload kept.
+     */
+    explicit CkWriter(std::vector<std::uint8_t> *buf) : buf_(buf) {}
+
+    CkWriter(const CkWriter &) = delete;
+    CkWriter &operator=(const CkWriter &) = delete;
+
+    void u8(std::uint8_t &v) { put(v, 1); }
+    void u16(std::uint16_t &v) { put(v, 2); }
+    void u32(std::uint32_t &v) { put(v, 4); }
+    void u64(std::uint64_t &v) { put(v, 8); }
+    void i32(std::int32_t &v) { put(static_cast<std::uint32_t>(v), 4); }
+    void i64(std::int64_t &v) { put(static_cast<std::uint64_t>(v), 8); }
+
+    /**
+     * Bit-pattern transport: restore reproduces the exact double, so
+     * folded statistics stay bit-identical across a round trip.
+     */
+    void f64(double &v) { put(std::bit_cast<std::uint64_t>(v), 8); }
+
+    void b(bool &v) { put(v ? 1 : 0, 1); }
     void str(std::string &v);
 
-    std::uint64_t bytes() const { return payload_.size(); }
+    std::uint64_t bytes() const { return size_; }
 
     /** FNV-1a 64 of the payload written so far. */
-    std::uint64_t payloadDigest() const;
+    std::uint64_t payloadDigest() const { return digest_; }
 
-    /** Emit header + payload to @p os. */
+    /** Emit header + payload to @p os (not on a digest-only writer). */
     void writeTo(std::ostream &os, std::uint64_t config_digest) const;
 
   private:
-    std::vector<std::uint8_t> payload_;
+    /** Append the @p n low bytes of @p v, little-endian. */
+    void
+    put(std::uint64_t v, unsigned n)
+    {
+        digest_ = fnvFold(digest_, v, n);
+        if (buf_) {
+            // Stores all 8 bytes; the ones past n are zero and land in
+            // the slack reserve() keeps, to be overwritten next.
+            std::uint8_t *p = reserve(8);
+            if constexpr (std::endian::native == std::endian::little) {
+                std::memcpy(p, &v, 8);
+            } else {
+                for (unsigned i = 0; i < 8; ++i)
+                    p[i] = static_cast<std::uint8_t>(v >> (8 * i));
+            }
+        }
+        size_ += n;
+    }
+
+    /** Make room for @p n bytes at the write position; return it. */
+    std::uint8_t *
+    reserve(std::size_t n)
+    {
+        if (buf_->size() < size_ + n)
+            grow(n);
+        return buf_->data() + size_;
+    }
+
+    void grow(std::size_t n);
+
+    std::vector<std::uint8_t> own_;
+    std::vector<std::uint8_t> *buf_;
+    std::uint64_t size_ = 0;
+    std::uint64_t digest_ = fnvOffsetBasis;
 };
 
 /**
@@ -144,31 +202,26 @@ bool readCheckpointInfo(std::istream &is, CheckpointFileInfo *info,
 
 /**
  * TraceSink folding every event into a running FNV-1a digest over the
- * trace_format record encoding, optionally forwarding each hook to a
- * downstream sink. reset(cycle) restarts the digest at a checkpoint
- * boundary so digest() covers only the tail after that boundary.
+ * trace_format record encoding (foldTraceEvent over TraceEventSink's
+ * records, the mapping TraceRecorder shares), forwarding each hook to
+ * an optional downstream sink. reset(cycle) restarts the digest at a
+ * checkpoint boundary so digest() covers only the tail after it.
  */
-class DigestTee : public TraceSink
+class DigestTee : public TraceEventSink<DigestTee>
 {
   public:
     explicit DigestTee(TraceSink *downstream = nullptr)
-        : downstream_(downstream)
+        : TraceEventSink(downstream)
     {
     }
 
-    void flitCrossed(Cycle now, const Link &link, int vc, const Flit &flit,
-                     bool control_lane) override;
-    void flitInjected(Cycle now, NodeId node, const Flit &flit) override;
-    void flitDelivered(Cycle now, NodeId node, const Flit &flit) override;
-    void vcAllocated(Cycle now, const Link &link, int vc,
-                     const Message &msg, int hop_idx) override;
-    void vcReleased(Cycle now, const Link &link, int vc,
-                    const Message &msg, int hop_idx) override;
-    void probeEvent(Cycle now, const Message &msg,
-                    ProbeEvent event) override;
-    void messageCreated(Cycle now, const Message &msg) override;
-    void messageTerminal(Cycle now, const Message &msg,
-                         MsgOutcome outcome) override;
+    /** TraceEventSink callback. */
+    void
+    onEvent(const TraceEvent &ev)
+    {
+        digest_ = foldTraceEvent(digest_, ev);
+        ++records_;
+    }
 
     /** Restart the digest; subsequent events form the tail. */
     void reset(Cycle from);
@@ -180,10 +233,7 @@ class DigestTee : public TraceSink
     Cycle tailFrom() const { return tailFrom_; }
 
   private:
-    void fold(const TraceEvent &ev);
-
-    TraceSink *downstream_ = nullptr;
-    std::uint64_t digest_ = 14695981039346656037ull;
+    std::uint64_t digest_ = fnvOffsetBasis;
     std::uint64_t records_ = 0;
     Cycle tailFrom_ = 0;
 };

@@ -18,29 +18,23 @@
 #include <string>
 #include <vector>
 
+#include "obs/event_sink.hpp"
 #include "obs/trace_format.hpp"
 #include "sim/config.hpp"
-#include "sim/trace.hpp"
 
 namespace tpnet::obs {
 
 /** Records every trace hook into an in-memory event sequence. */
-class TraceRecorder : public TraceSink
+class TraceRecorder : public TraceEventSink<TraceRecorder>
 {
   public:
-    void flitCrossed(Cycle now, const Link &link, int vc, const Flit &flit,
-                     bool control_lane) override;
-    void flitInjected(Cycle now, NodeId node, const Flit &flit) override;
-    void flitDelivered(Cycle now, NodeId node, const Flit &flit) override;
-    void vcAllocated(Cycle now, const Link &link, int vc,
-                     const Message &msg, int hop_idx) override;
-    void vcReleased(Cycle now, const Link &link, int vc,
-                    const Message &msg, int hop_idx) override;
-    void probeEvent(Cycle now, const Message &msg,
-                    ProbeEvent event) override;
-    void messageCreated(Cycle now, const Message &msg) override;
-    void messageTerminal(Cycle now, const Message &msg,
-                         MsgOutcome outcome) override;
+    /** TraceEventSink callback: store @p ev and fold it into digest(). */
+    void
+    onEvent(const TraceEvent &ev)
+    {
+        digest_ = foldTraceEvent(digest_, ev);
+        events_.push_back(ev);
+    }
 
     const std::vector<TraceEvent> &events() const { return events_; }
     std::size_t size() const { return events_.size(); }
@@ -60,10 +54,8 @@ class TraceRecorder : public TraceSink
     void clear();
 
   private:
-    void append(const TraceEvent &ev);
-
     std::vector<TraceEvent> events_;
-    std::uint64_t digest_ = 14695981039346656037ull;
+    std::uint64_t digest_ = fnvOffsetBasis;
 };
 
 /** One recordable scenario: a configuration plus a cycle budget. */

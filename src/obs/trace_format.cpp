@@ -94,7 +94,7 @@ fnv1a64(const void *data, std::size_t n, std::uint64_t h)
     const auto *p = static_cast<const std::uint8_t *>(data);
     for (std::size_t i = 0; i < n; ++i) {
         h ^= p[i];
-        h *= 1099511628211ull;
+        h *= fnvPrime;
     }
     return h;
 }

@@ -22,6 +22,7 @@
 #ifndef TPNET_OBS_TRACE_FORMAT_HPP
 #define TPNET_OBS_TRACE_FORMAT_HPP
 
+#include <array>
 #include <cstdint>
 #include <iosfwd>
 #include <string>
@@ -73,12 +74,63 @@ constexpr std::uint32_t traceRecordSize = 44;
 /** Current format version. */
 constexpr std::uint16_t traceFormatVersion = 1;
 
+/** FNV-1a 64 offset basis and prime. */
+constexpr std::uint64_t fnvOffsetBasis = 14695981039346656037ull;
+constexpr std::uint64_t fnvPrime = 1099511628211ull;
+
 /** FNV-1a 64 over @p n bytes, continuing from @p h. */
 std::uint64_t fnv1a64(const void *data, std::size_t n,
-                      std::uint64_t h = 14695981039346656037ull);
+                      std::uint64_t h = fnvOffsetBasis);
+
+/** fnvPrime^k for k in [0, 8]. */
+inline constexpr std::array<std::uint64_t, 9> fnvPrimePowers = [] {
+    std::array<std::uint64_t, 9> p{};
+    p[0] = 1;
+    for (std::size_t k = 1; k < p.size(); ++k)
+        p[k] = p[k - 1] * fnvPrime;
+    return p;
+}();
+
+/**
+ * Fold the @p n-byte little-endian encoding of @p v into FNV-1a state
+ * @p h; equal to fnv1a64() over those bytes. @p v must fit in @p n
+ * bytes (n <= 8). Past the highest non-zero byte every step is
+ * (h ^ 0) * P == h * P, so the zero tail folds as one multiply by P^k.
+ */
+inline std::uint64_t
+fnvFold(std::uint64_t h, std::uint64_t v, unsigned n)
+{
+    unsigned k = 0;
+    for (; v != 0; v >>= 8, ++k) {
+        h ^= v & 0xff;
+        h *= fnvPrime;
+    }
+    return h * fnvPrimePowers[n - k];
+}
 
 /** Serialize @p ev into @p out (traceRecordSize bytes, little-endian). */
 void encodeTraceEvent(const TraceEvent &ev, std::uint8_t *out);
+
+/**
+ * Fold @p ev into FNV-1a state @p h field by field; equal to fnv1a64()
+ * over encodeTraceEvent()'s bytes, without materialising them.
+ */
+inline std::uint64_t
+foldTraceEvent(std::uint64_t h, const TraceEvent &ev)
+{
+    h = (h ^ static_cast<std::uint8_t>(ev.kind)) * fnvPrime;
+    h = (h ^ ev.flitType) * fnvPrime;
+    h = (h ^ ev.detail) * fnvPrime;
+    h = (h ^ static_cast<std::uint8_t>(ev.vc)) * fnvPrime;
+    h = fnvFold(h, ev.link, 4);
+    h = fnvFold(h, ev.node, 4);
+    h = fnvFold(h, ev.cycle, 8);
+    h = fnvFold(h, static_cast<std::uint64_t>(ev.msg), 8);
+    h = fnvFold(h, static_cast<std::uint32_t>(ev.seq), 4);
+    h = fnvFold(h, static_cast<std::uint32_t>(ev.hop), 4);
+    h = fnvFold(h, static_cast<std::uint32_t>(ev.epoch), 4);
+    return fnvFold(h, ev.aux, 4);
+}
 
 /** Inverse of encodeTraceEvent. */
 TraceEvent decodeTraceEvent(const std::uint8_t *in);
@@ -112,7 +164,7 @@ class TraceWriter
   private:
     std::ostream &os_;
     std::uint64_t records_ = 0;
-    std::uint64_t digest_ = 14695981039346656037ull;
+    std::uint64_t digest_ = fnvOffsetBasis;
 };
 
 /**
@@ -147,7 +199,7 @@ class TraceReader
     TraceFileInfo info_;
     std::string error_;
     std::uint64_t records_ = 0;
-    std::uint64_t digest_ = 14695981039346656037ull;
+    std::uint64_t digest_ = fnvOffsetBasis;
 };
 
 } // namespace tpnet::obs

@@ -160,6 +160,18 @@ TEST(CheckpointContainer, RejectsEveryCorruptionMode)
         obs::CkReader r(is);
         EXPECT_FALSE(r.ok());
     }
+    {  // absurd payload size: refused as a truncation, never allocated
+        std::string bad = good;
+        for (int i = 0; i < 8; ++i)
+            bad[8 + i] = static_cast<char>(((std::uint64_t{1} << 62) >>
+                                            (8 * i)) & 0xff);
+        std::istringstream is(bad, std::ios::binary);
+        obs::CkReader r(is);
+        EXPECT_FALSE(r.ok());
+        EXPECT_NE(r.error().find("truncated checkpoint payload"),
+                  std::string::npos)
+            << r.error();
+    }
     {  // flipped payload byte: digest check refuses
         std::string bad = good;
         bad[good.size() - 5] ^= 0x01;
@@ -272,6 +284,44 @@ TEST(CheckpointState, WriteTwiceIsDeterministic)
     EXPECT_EQ(w1.bytes(), w2.bytes());
     EXPECT_EQ(w1.payloadDigest(), w2.payloadDigest());
     EXPECT_EQ(campaignStateDigest(st), campaignStateDigest(st));
+}
+
+TEST(CheckpointState, DigestOnlyWriterMatchesBufferedWriter)
+{
+    // Mid-campaign: a node killed at cycle 40, messages live, watchdog
+    // tracks and oracle books populated.
+    Harness h(harnessConfig());
+    h.run(200);
+    CampaignState st = h.state();
+
+    obs::CkWriter buffered;
+    serializeCampaign(buffered, st);
+    std::ostringstream os(std::ios::binary);
+    buffered.writeTo(os, 1);
+    const std::string payload = os.str().substr(40);
+    ASSERT_EQ(payload.size(), buffered.bytes());
+
+    obs::CkWriter digestOnly(nullptr);
+    serializeCampaign(digestOnly, st);
+    EXPECT_EQ(digestOnly.bytes(), buffered.bytes());
+    EXPECT_EQ(digestOnly.payloadDigest(),
+              obs::fnv1a64(payload.data(), payload.size()));
+    EXPECT_EQ(campaignStateDigest(st), buffered.payloadDigest());
+
+    // The encoding itself is pinned: a change to either value changes
+    // the bytes of every checkpoint this harness state writes.
+    EXPECT_EQ(buffered.bytes(), 19272u);
+    EXPECT_EQ(buffered.payloadDigest(), 0x6edbf7e30f29aaf1ull);
+
+    // A checkpoint file built in the reused st.ckBuffer carries the
+    // same bytes, also the second time round.
+    const fs::path path = scratchFile("reuse.ck");
+    for (int i = 0; i < 2; ++i) {
+        std::string error;
+        ASSERT_TRUE(writeCampaignCheckpoint(path.string(), 1, st, &error))
+            << error;
+        EXPECT_EQ(slurp(path), os.str());
+    }
 }
 
 TEST(CheckpointState, StateRoundTripsIntoFreshHarness)
