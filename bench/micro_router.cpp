@@ -12,6 +12,7 @@
 #include <vector>
 
 #include "common.hpp"
+#include "core/engine.hpp"
 
 namespace {
 
@@ -63,6 +64,48 @@ BM_RngDraw(benchmark::State &state)
         benchmark::DoNotOptimize(rng.below(256));
 }
 BENCHMARK(BM_RngDraw);
+
+/**
+ * One rotation-ordered ActivitySet pass over a 1024-entity universe
+ * with every range(0)-th entity active (64: sparse, 8, 1: full). With
+ * range(1) set, each visit also wakes the entity right after it, which
+ * joins the same pass and drains on its visit (the mid-pass add of a
+ * data visit waking a neighbour). Offsets rotate by 8 per pass, like
+ * the network's round-robin start.
+ */
+void
+BM_ActivitySetPass(benchmark::State &state)
+{
+    constexpr std::uint32_t n = 1024;
+    const auto every = static_cast<std::uint32_t>(state.range(0));
+    const bool midPassAdd = state.range(1) != 0;
+    ActivitySet set;
+    set.reset(n);
+    for (std::uint32_t id = 0; id < n; id += every)
+        set.add(id);
+    std::size_t rot = 0;
+    std::uint64_t visits = 0;
+    for (auto _ : state) {
+        set.beginPass(rot);
+        for (std::uint32_t id; (id = set.next()) != ActivitySet::kNone;) {
+            benchmark::DoNotOptimize(id);
+            ++visits;
+            if (!midPassAdd)
+                continue;
+            if (id % every == 0)
+                set.add(id + 1);
+            else
+                set.remove(id);
+        }
+        rot = (rot + 8) % n;
+    }
+    state.SetItemsProcessed(static_cast<std::int64_t>(visits));
+}
+BENCHMARK(BM_ActivitySetPass)
+    ->Args({64, 0})
+    ->Args({8, 0})
+    ->Args({1, 0})
+    ->Args({8, 1});
 
 /** Cost of one network cycle at a given offered load (x1000 cycles). */
 void

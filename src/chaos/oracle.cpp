@@ -12,11 +12,15 @@ DeliveryOracle::DeliveryOracle(Network &net)
     : net_(net)
 {}
 
+// The text is built only here, on the report path: the per-event
+// hooks that report nothing stream nothing.
+template <class... Parts>
 void
-DeliveryOracle::report(Cycle now, const std::string &what)
+DeliveryOracle::report(Cycle now, const Parts &...parts)
 {
     std::ostringstream os;
-    os << "cycle " << now << ": oracle: " << what;
+    os << "cycle " << now << ": oracle: ";
+    (os << ... << parts);
     violations_.push_back(os.str());
 }
 
@@ -25,9 +29,7 @@ DeliveryOracle::messageCreated(Cycle now, const Message &msg)
 {
     auto [it, inserted] = records_.try_emplace(msg.id);
     if (!inserted) {
-        std::ostringstream os;
-        os << "msg " << msg.id << " created twice";
-        report(now, os.str());
+        report(now, "msg ", msg.id, " created twice");
         return;
     }
     it->second.src = msg.src;
@@ -44,25 +46,19 @@ DeliveryOracle::flitDelivered(Cycle now, NodeId node, const Flit &flit)
         return;
     auto it = records_.find(flit.msg);
     if (it == records_.end()) {
-        std::ostringstream os;
-        os << "tail of unknown msg " << flit.msg << " delivered";
-        report(now, os.str());
+        report(now, "tail of unknown msg ", flit.msg, " delivered");
         return;
     }
     Record &rec = it->second;
     ++rec.tails;
     if (rec.tails > 1) {
-        std::ostringstream os;
-        os << "duplicate delivery: tail of msg " << flit.msg
-           << " ejected " << rec.tails << " times";
-        report(now, os.str());
+        report(now, "duplicate delivery: tail of msg ", flit.msg,
+               " ejected ", rec.tails, " times");
     }
     if (rec.terminated) {
-        std::ostringstream os;
-        os << "tail of msg " << flit.msg
-           << " delivered after the message terminated ("
-           << msgOutcomeName(rec.outcome) << ")";
-        report(now, os.str());
+        report(now, "tail of msg ", flit.msg,
+               " delivered after the message terminated (",
+               msgOutcomeName(rec.outcome), ")");
     }
 }
 
@@ -72,75 +68,61 @@ DeliveryOracle::messageTerminal(Cycle now, const Message &msg,
 {
     auto it = records_.find(msg.id);
     if (it == records_.end()) {
-        std::ostringstream os;
-        os << "unknown msg " << msg.id << " terminated";
-        report(now, os.str());
+        report(now, "unknown msg ", msg.id, " terminated");
         return;
     }
     Record &rec = it->second;
     if (rec.terminated) {
-        std::ostringstream os;
-        os << "msg " << msg.id << " terminated twice ("
-           << msgOutcomeName(rec.outcome) << " then "
-           << msgOutcomeName(outcome) << ")";
-        report(now, os.str());
+        report(now, "msg ", msg.id, " terminated twice (",
+               msgOutcomeName(rec.outcome), " then ",
+               msgOutcomeName(outcome), ")");
         return;
     }
     rec.terminated = true;
     rec.outcome = outcome;
 
     const SimConfig &cfg = net_.config();
-    std::ostringstream os;
     switch (outcome) {
       case MsgOutcome::Delivered:
         ++deliveredCount_;
         if (rec.tails != 1) {
-            os << "msg " << msg.id << " completed with " << rec.tails
-               << " tail deliveries (want exactly 1)";
-            report(now, os.str());
+            report(now, "msg ", msg.id, " completed with ", rec.tails,
+                   " tail deliveries (want exactly 1)");
         }
         if (msg.arrivedFlits != msg.length ||
             msg.injectedFlits != msg.length) {
-            os.str("");
-            os << "msg " << msg.id << " completed with "
-               << msg.arrivedFlits << "/" << msg.length
-               << " flits delivered (" << msg.injectedFlits
-               << " injected)";
-            report(now, os.str());
+            report(now, "msg ", msg.id, " completed with ",
+                   msg.arrivedFlits, "/", msg.length,
+                   " flits delivered (", msg.injectedFlits,
+                   " injected)");
         }
         break;
 
       case MsgOutcome::Undeliverable:
         ++undeliverableCount_;
         if (rec.tails != 0) {
-            os << "msg " << msg.id
-               << " declared undeliverable after its tail was "
-                  "delivered";
-            report(now, os.str());
+            report(now, "msg ", msg.id,
+                   " declared undeliverable after its tail was "
+                   "delivered");
         }
         if (msg.retries < cfg.maxRetries &&
             !net_.nodeFaulty(rec.src) && !net_.nodeFaulty(rec.dst)) {
-            os.str("");
-            os << "msg " << msg.id << " declared undeliverable after "
-               << msg.retries << " retries (max " << cfg.maxRetries
-               << ") with both endpoints healthy";
-            report(now, os.str());
+            report(now, "msg ", msg.id, " declared undeliverable after ",
+                   msg.retries, " retries (max ", cfg.maxRetries,
+                   ") with both endpoints healthy");
         }
         break;
 
       case MsgOutcome::Lost:
         ++lostCount_;
         if (cfg.tailAck) {
-            os << "msg " << msg.id
-               << " lost to a fault despite tail acknowledgments "
-                  "(retransmission) being enabled";
-            report(now, os.str());
+            report(now, "msg ", msg.id,
+                   " lost to a fault despite tail acknowledgments "
+                   "(retransmission) being enabled");
         }
         if (rec.tails != 0) {
-            os.str("");
-            os << "msg " << msg.id
-               << " counted lost after its tail was delivered";
-            report(now, os.str());
+            report(now, "msg ", msg.id,
+                   " counted lost after its tail was delivered");
         }
         break;
     }
@@ -165,18 +147,13 @@ DeliveryOracle::finalCheck()
             continue;
         ++unterminated;
         if (unterminated <= 16) {
-            std::ostringstream os;
-            os << "msg " << id << " (" << rec.src << "->" << rec.dst
-               << ", created at cycle " << rec.createdAt
-               << ") never terminated";
-            report(now, os.str());
+            report(now, "msg ", id, " (", rec.src, "->", rec.dst,
+                   ", created at cycle ", rec.createdAt,
+                   ") never terminated");
         }
     }
-    if (unterminated > 16) {
-        std::ostringstream os;
-        os << (unterminated - 16) << " further unterminated messages";
-        report(now, os.str());
-    }
+    if (unterminated > 16)
+        report(now, unterminated - 16, " further unterminated messages");
 
     // The oracle's books must agree with the simulator's counters —
     // a divergence means an event fired without its counterpart.
@@ -185,10 +162,8 @@ DeliveryOracle::finalCheck()
                                   std::uint64_t theirs) {
         if (mine == theirs)
             return;
-        std::ostringstream os;
-        os << what << " mismatch: oracle saw " << mine
-           << ", counters say " << theirs;
-        report(now, os.str());
+        report(now, what, " mismatch: oracle saw ", mine,
+               ", counters say ", theirs);
     };
     crossCheck("generated", createdCount_, c.generated);
     crossCheck("delivered", deliveredCount_, c.delivered);

@@ -67,7 +67,9 @@ class DeliveryOracle : public TraceSink
     std::uint64_t deliveredOnce() const { return deliveredCount_; }
 
   private:
-    void report(Cycle now, const std::string &what);
+    /** Record "cycle <now>: oracle: <parts...>" as a violation. */
+    template <class... Parts>
+    void report(Cycle now, const Parts &...parts);
 
     struct Record
     {

@@ -129,57 +129,39 @@ Watchdog::checkGlobalProgress()
     }
 }
 
-std::uint64_t
-Watchdog::signature(const Message &msg)
+Watchdog::Signatures
+Watchdog::signatures(const Message &msg)
 {
-    // Any field that changes when the message makes progress of any
-    // kind — probe movement, data movement, teardown, retry — feeds
-    // the fingerprint.
-    std::uint64_t h = 0xcbf29ce484222325ull;
-    auto mix = [&h](std::uint64_t v) {
-        h ^= v;
-        h *= 0x100000001b3ull;
-    };
-    mix(static_cast<std::uint64_t>(msg.state));
-    mix(static_cast<std::uint64_t>(msg.epoch));
-    mix(static_cast<std::uint64_t>(msg.hdr.hops));
-    mix(msg.path.size());
-    mix(static_cast<std::uint64_t>(msg.injectedFlits));
-    mix(static_cast<std::uint64_t>(msg.arrivedFlits));
-    mix(static_cast<std::uint64_t>(msg.retries));
-    mix(static_cast<std::uint64_t>(msg.srcCounter));
-    mix(static_cast<std::uint64_t>(msg.releasedHops));
-    mix(static_cast<std::uint64_t>(msg.killWalks));
-    mix(msg.beingKilled ? 1 : 0);
-    mix(static_cast<std::uint64_t>(
-        msg.leadHop < 0 ? 0u : static_cast<unsigned>(msg.leadHop)));
-    return h;
-}
-
-std::uint64_t
-Watchdog::progressSignature(const Message &msg)
-{
-    // Deliberately excludes hdr.hops, path.size(), and srcCounter: a
+    // sig: any field that changes when the message makes progress of
+    // any kind — probe movement, data movement, teardown, retry.
+    // sig2 deliberately skips hdr.hops, path.size() and srcCounter: a
     // probe can churn those forever (search, backtrack, re-search)
     // without the message getting any closer to delivery. Every retry
     // bumps the epoch, so a legal abort-and-retry cycle still counts
-    // as progress here.
-    std::uint64_t h = 0xcbf29ce484222325ull;
-    auto mix = [&h](std::uint64_t v) {
+    // as progress there.
+    Signatures s{0xcbf29ce484222325ull, 0xcbf29ce484222325ull};
+    auto mix = [](std::uint64_t &h, std::uint64_t v) {
         h ^= v;
         h *= 0x100000001b3ull;
     };
-    mix(static_cast<std::uint64_t>(msg.state));
-    mix(static_cast<std::uint64_t>(msg.epoch));
-    mix(static_cast<std::uint64_t>(msg.injectedFlits));
-    mix(static_cast<std::uint64_t>(msg.arrivedFlits));
-    mix(static_cast<std::uint64_t>(msg.retries));
-    mix(static_cast<std::uint64_t>(msg.releasedHops));
-    mix(static_cast<std::uint64_t>(msg.killWalks));
-    mix(msg.beingKilled ? 1 : 0);
-    mix(static_cast<std::uint64_t>(
+    auto both = [&](std::uint64_t v) {
+        mix(s.sig, v);
+        mix(s.sig2, v);
+    };
+    both(static_cast<std::uint64_t>(msg.state));
+    both(static_cast<std::uint64_t>(msg.epoch));
+    mix(s.sig, static_cast<std::uint64_t>(msg.hdr.hops));
+    mix(s.sig, msg.path.size());
+    both(static_cast<std::uint64_t>(msg.injectedFlits));
+    both(static_cast<std::uint64_t>(msg.arrivedFlits));
+    both(static_cast<std::uint64_t>(msg.retries));
+    mix(s.sig, static_cast<std::uint64_t>(msg.srcCounter));
+    both(static_cast<std::uint64_t>(msg.releasedHops));
+    both(static_cast<std::uint64_t>(msg.killWalks));
+    both(msg.beingKilled ? 1 : 0);
+    both(static_cast<std::uint64_t>(
         msg.leadHop < 0 ? 0u : static_cast<unsigned>(msg.leadHop)));
-    return h;
+    return s;
 }
 
 std::string
@@ -222,8 +204,7 @@ Watchdog::checkPerMessageProgress()
             msg->state == MsgState::WaitRetry) {
             continue;
         }
-        const std::uint64_t sig = signature(*msg);
-        const std::uint64_t sig2 = progressSignature(*msg);
+        const auto [sig, sig2] = signatures(*msg);
         while (old != tracks_.end() && old->id < id)
             ++old;
         MsgTrack &track = nextTracks_.emplace_back();

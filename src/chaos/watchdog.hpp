@@ -100,16 +100,21 @@ class Watchdog
     void checkConservation();
     void runValidator();
 
-    /** Compact fingerprint of a message's externally visible progress. */
-    static std::uint64_t signature(const Message &msg);
+    struct Signatures
+    {
+        /** Compact fingerprint of a message's externally visible progress. */
+        std::uint64_t sig;
+        /**
+         * Fingerprint of *real* progress only: excludes the probe-churn
+         * fields (hops, path length, ack counters) so a header endlessly
+         * searching without ever moving data shows up as frozen here
+         * while sig keeps changing — the livelock discriminator.
+         */
+        std::uint64_t sig2;
+    };
 
-    /**
-     * Fingerprint of *real* progress only: excludes the probe-churn
-     * fields (hops, path length, ack counters) so a header endlessly
-     * searching without ever moving data shows up as frozen here while
-     * signature() keeps changing — the livelock discriminator.
-     */
-    static std::uint64_t progressSignature(const Message &msg);
+    /** Both fingerprints of @p msg, folded in one read of its fields. */
+    static Signatures signatures(const Message &msg);
 
     /** CWG-informed annotation of a frozen message ("" when none). */
     std::string diagnoseFrozen(MsgId id, const Message &msg) const;
@@ -129,7 +134,7 @@ class Watchdog
     {
         MsgId id = invalidMsg;
         std::uint64_t sig = 0;
-        std::uint64_t sig2 = 0;       ///< progressSignature()
+        std::uint64_t sig2 = 0;       ///< Signatures::sig2
         Cycle lastChange = 0;
         Cycle lastChange2 = 0;
         bool flagged = false;

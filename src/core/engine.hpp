@@ -10,10 +10,12 @@
  *    self-register when they gain work and deregister when a visit
  *    finds them drained; a phase visits only registered entities, in
  *    exactly the rotation order the time-stepped engine would have
- *    used. Mid-pass registrations are merged into the ongoing pass iff
- *    their rotation key is still ahead of the cursor — precisely the
- *    entities the full scan would still have reached this cycle — so
- *    iteration is bit-identical to the full scan by construction.
+ *    used. A pass is a cursor walking the set's 64-bit words from the
+ *    rotation offset to the end and then from 0 back to it, so a
+ *    mid-pass registration is visited iff it is still ahead of the
+ *    cursor — precisely the entities the full scan would still have
+ *    reached this cycle — and iteration is bit-identical to the full
+ *    scan by construction.
  *
  *  - WakeupQueue: a stable min-heap of (cycle, token) wakeups used by
  *    the drivers (Simulator, chaos campaigns) to aggregate external
@@ -33,6 +35,7 @@
 #define TPNET_CORE_ENGINE_HPP
 
 #include <algorithm>
+#include <bit>
 #include <cstdint>
 #include <vector>
 
@@ -43,7 +46,10 @@ namespace tpnet {
 /** Cycle value meaning "no event scheduled". */
 constexpr Cycle cycleNever = ~Cycle{0};
 
-/** Ready set over a fixed universe [0, n) with rotation-ordered passes. */
+/**
+ * Ready set over a fixed universe [0, n) with rotation-ordered passes,
+ * stored as one bit per entity.
+ */
 class ActivitySet
 {
   public:
@@ -53,15 +59,11 @@ class ActivitySet
     void
     reset(std::size_t n)
     {
-        n_ = n;
-        active_.assign(n, 0);
-        inList_.assign(n, 0);
-        ids_.clear();
-        passAdds_.clear();
+        n_ = static_cast<std::uint32_t>(n);
+        words_.assign((n + 63) / 64, 0);
         count_ = 0;
-        inPass_ = false;
-        scan_ = false;
-        scanPos_ = 0;
+        pos_ = end_ = rot_ = 0;
+        wrapped_ = true;
     }
 
     std::size_t size() const { return n_; }
@@ -71,171 +73,90 @@ class ActivitySet
     bool
     active(std::uint32_t id) const
     {
-        return active_[id] != 0;
+        return (words_[id >> 6] >> (id & 63)) & 1;
     }
 
-    /**
-     * Mark @p id active. During a pass, an entity whose rotation key is
-     * still ahead of the cursor joins the ongoing pass (the full scan
-     * would still reach it this cycle); one at or behind the cursor
-     * waits for the next pass (the full scan already passed it).
-     */
+    /** Mark @p id active. */
     void
     add(std::uint32_t id)
     {
-        if (active_[id])
+        std::uint64_t &w = words_[id >> 6];
+        const std::uint64_t bit = std::uint64_t{1} << (id & 63);
+        if (w & bit)
             return;
-        active_[id] = 1;
+        w |= bit;
         ++count_;
-        if (!inList_[id]) {
-            inList_[id] = 1;
-            ids_.push_back(id);
-        }
-        // A scan-mode pass reaches every key ahead of the cursor by
-        // itself; only sorted passes need the mid-pass merge list.
-        if (inPass_ && !scan_ &&
-            static_cast<std::int64_t>(key(id)) > cursor_) {
-            const auto pos = std::lower_bound(
-                passAdds_.begin(), passAdds_.end(), id,
-                [this](std::uint32_t a, std::uint32_t b) {
-                    return key(a) < key(b);
-                });
-            if (pos == passAdds_.end() || *pos != id)
-                passAdds_.insert(pos, id);
-        }
     }
 
-    /** Mark @p id inactive (membership is pruned lazily). */
+    /** Mark @p id inactive. */
     void
     remove(std::uint32_t id)
     {
-        if (!active_[id])
+        std::uint64_t &w = words_[id >> 6];
+        const std::uint64_t bit = std::uint64_t{1} << (id & 63);
+        if (!(w & bit))
             return;
-        active_[id] = 0;
+        w &= ~bit;
         --count_;
     }
 
     /**
-     * Start a pass in rotation order: entity ids are visited by
-     * ascending key (id + n - rot) % n, matching a full scan that
-     * starts at offset @p rot.
+     * Start a pass in rotation order: ids rot..n-1, then 0..rot-1, the
+     * order of a full scan starting at offset @p rot. The pass is a
+     * cursor over the bits, so changes made during it follow the full
+     * scan by construction: an add ahead of the cursor is visited this
+     * pass, an add behind it waits for the next pass, a remove ahead of
+     * it is skipped, and the entity being visited is never revisited.
      */
     void
     beginPass(std::size_t rot)
     {
         rot_ = n_ ? static_cast<std::uint32_t>(rot % n_) : 0;
-        // Dense passes walk the whole universe in rotation order
-        // instead of sorting the membership list: once the active set
-        // is a sizable fraction of n, the O(n) scan is cheaper than
-        // the O(A log A) sort, and the visit order is identical either
-        // way. Membership compaction is simply deferred to the next
-        // sparse pass.
-        scan_ = count_ * 8 >= n_;
-        if (scan_) {
-            scanPos_ = 0;
-            cursor_ = -1;
-            inPass_ = true;
-            return;
-        }
-        // Compact the membership list down to the live entries, then
-        // order it for this pass.
-        std::size_t w = 0;
-        for (std::size_t r = 0; r < ids_.size(); ++r) {
-            const std::uint32_t id = ids_[r];
-            if (active_[id])
-                ids_[w++] = id;
-            else
-                inList_[id] = 0;
-        }
-        ids_.resize(w);
-        std::sort(ids_.begin(), ids_.end(),
-                  [this](std::uint32_t a, std::uint32_t b) {
-                      return key(a) < key(b);
-                  });
-        passEnd_ = ids_.size();
-        passPos_ = 0;
-        addPos_ = 0;
-        passAdds_.clear();
-        cursor_ = -1;
-        inPass_ = true;
+        pos_ = rot_;
+        end_ = n_;
+        wrapped_ = false;
     }
 
     /**
      * Next active entity of the current pass in rotation order, or
-     * kNone when the pass (including merged mid-pass additions) is
-     * exhausted. Entities deactivated since registration are skipped.
+     * kNone when the pass is exhausted.
      */
     std::uint32_t
     next()
     {
-        if (scan_) {
-            while (scanPos_ < n_) {
-                const std::uint32_t id = static_cast<std::uint32_t>(
-                    (rot_ + scanPos_) % static_cast<std::uint32_t>(n_));
-                cursor_ = static_cast<std::int64_t>(scanPos_);
-                ++scanPos_;
-                if (active_[id])
+        for (;;) {
+            while (pos_ < end_) {
+                const std::uint32_t w = pos_ >> 6;
+                const std::uint64_t bits =
+                    words_[w] & (~std::uint64_t{0} << (pos_ & 63));
+                if (bits) {
+                    const std::uint32_t id = (w << 6) +
+                        static_cast<std::uint32_t>(std::countr_zero(bits));
+                    if (id >= end_)
+                        break;
+                    pos_ = id + 1;
                     return id;
-            }
-            inPass_ = false;
-            return kNone;
-        }
-        while (passPos_ < passEnd_ || addPos_ < passAdds_.size()) {
-            std::uint32_t id;
-            if (passPos_ < passEnd_ && addPos_ < passAdds_.size()) {
-                const std::uint32_t a = ids_[passPos_];
-                const std::uint32_t b = passAdds_[addPos_];
-                if (key(a) <= key(b)) {
-                    id = a;
-                    ++passPos_;
-                    if (a == b)  // same entity in both lists
-                        ++addPos_;
-                } else {
-                    id = b;
-                    ++addPos_;
                 }
-            } else if (passPos_ < passEnd_) {
-                id = ids_[passPos_++];
-            } else {
-                id = passAdds_[addPos_++];
+                pos_ = (w + 1) << 6;
             }
-            cursor_ = static_cast<std::int64_t>(key(id));
-            if (active_[id])
-                return id;
+            pos_ = end_;
+            if (wrapped_)
+                return kNone;
+            // First leg [rot, n) done: wrap to [0, rot).
+            wrapped_ = true;
+            pos_ = 0;
+            end_ = rot_;
         }
-        inPass_ = false;
-        return kNone;
-    }
-
-    /** Abandon the current pass (bookkeeping only). */
-    void
-    endPass()
-    {
-        inPass_ = false;
     }
 
   private:
-    std::uint32_t
-    key(std::uint32_t id) const
-    {
-        return (id + static_cast<std::uint32_t>(n_) - rot_) %
-               static_cast<std::uint32_t>(n_);
-    }
-
-    std::size_t n_ = 0;
-    std::vector<std::uint8_t> active_;   ///< entity is ready
-    std::vector<std::uint8_t> inList_;   ///< entity is in ids_
-    std::vector<std::uint32_t> ids_;     ///< membership, pruned lazily
-    std::vector<std::uint32_t> passAdds_;///< mid-pass joins, key-sorted
-    std::size_t count_ = 0;              ///< live active count
-    std::size_t passEnd_ = 0;
-    std::size_t passPos_ = 0;
-    std::size_t addPos_ = 0;
-    std::int64_t cursor_ = -1;           ///< key of last visited entity
+    std::vector<std::uint64_t> words_;  ///< bit id & 63 of word id >> 6
+    std::size_t count_ = 0;             ///< live active count
+    std::uint32_t n_ = 0;
     std::uint32_t rot_ = 0;
-    bool inPass_ = false;
-    bool scan_ = false;                  ///< dense pass: scan, not sort
-    std::size_t scanPos_ = 0;            ///< scan-mode key cursor
+    std::uint32_t pos_ = 0;             ///< next id the pass examines
+    std::uint32_t end_ = 0;             ///< end of the current leg
+    bool wrapped_ = true;               ///< pass is on its [0, rot) leg
 };
 
 /**

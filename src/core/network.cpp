@@ -357,7 +357,8 @@ Network::dataVisit(NodeId node)
 
     // --- Ejection: one flit per node per cycle --------------------
     const std::size_t ejn = rt.ejectInputs.size();
-    std::size_t pick = ejn == 0 ? 0 : rt.ejectRR % ejn;
+    std::size_t pick = rt.ejectRR < ejn ? rt.ejectRR
+        : rt.ejectRR == ejn || ejn == 0 ? 0 : rt.ejectRR % ejn;
     for (std::size_t e = 0; e < ejn; ++e) {
         VcState &vc = *rt.ejectInputs[pick].state;
         const std::size_t at = pick;
@@ -406,9 +407,9 @@ Network::dataVisit(NodeId node)
         bool moved = false;
         if (cn > 0) {
             std::size_t &rr = rt.outRR[static_cast<std::size_t>(port)];
-            std::size_t c = rr < cn ? rr : rr % cn;
+            std::size_t c = rr < cn ? rr : rr == cn ? 0 : rr % cn;
             for (std::size_t n = 0; n < cn; ++n) {
-                if (tryMoveData(cands[c], rt)) {
+                if (tryMoveData(cands[c], out)) {
                     rr = c + 1;
                     moved = true;
                     break;
@@ -456,18 +457,13 @@ Network::injectableFront(NodeId node) const
 }
 
 bool
-Network::tryMoveData(InRef in, Router &rt)
+Network::tryMoveData(InRef in, Link &out)
 {
     VcState &vc = *in.state;
     if (vc.data.empty() || !vc.dataEnabled())
         return false;
     Flit &front = vc.data.front();
     if (front.readyAt > now_)
-        return false;
-    if (vc.outPort < 0)
-        return false;
-    Link &out = linkAt(rt.id, vc.outPort);
-    if (out.faulty)
         return false;
     VcState &tvc = out.vcs[static_cast<std::size_t>(vc.outVc)];
     if (tvc.data.full())

@@ -467,8 +467,12 @@ class Network
     /** Probe reached its destination: complete the path. */
     void applyEject(Message &msg);
 
-    /** Move one data flit out of input VC @p in; true if one moved. */
-    bool tryMoveData(InRef in, Router &rt);
+    /**
+     * Move one data flit out of input VC @p in onto @p out, the healthy
+     * output link its crossbar mapping names (every input listed under
+     * a port is mapped to that port); true if one moved.
+     */
+    bool tryMoveData(InRef in, Link &out);
 
     /**
      * Try to inject the next flit of @p msg, the injection-queue front

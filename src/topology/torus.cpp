@@ -10,12 +10,20 @@ namespace tpnet {
 TorusTopology::TorusTopology(int k, int n, bool wrap)
     : k_(k), n_(n), wrap_(wrap)
 {
-    if (k < 2 || n < 1 || n > maxDims)
+    // k <= 256 keeps every coordinate within the table's bytes.
+    if (k < 2 || k > 256 || n < 1 || n > maxDims)
         tpnet_fatal("bad torus geometry k=", k, " n=", n);
     stride_[0] = 1;
     for (int d = 0; d < n_; ++d)
         stride_[d + 1] = stride_[d] * k_;
     initGeometry(stride_[n_], 2 * n_);
+    coords_.resize(static_cast<std::size_t>(stride_[n_] * n_));
+    for (NodeId node = 0; node < stride_[n_]; ++node) {
+        for (int d = 0; d < n_; ++d) {
+            coords_[static_cast<std::size_t>(node * n_ + d)] =
+                static_cast<std::uint8_t>((node / stride_[d]) % k_);
+        }
+    }
 }
 
 double
@@ -35,12 +43,6 @@ TorusTopology::avgMinDistance() const
         ring += std::min(d, k_ - d);
     ring /= static_cast<double>(k_);
     return ring * static_cast<double>(n_);
-}
-
-int
-TorusTopology::coord(NodeId node, int dim) const
-{
-    return (node / stride_[dim]) % k_;
 }
 
 NodeId

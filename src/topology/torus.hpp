@@ -16,6 +16,7 @@
 #define TPNET_TOPOLOGY_TORUS_HPP
 
 #include <array>
+#include <cstdint>
 #include <vector>
 
 #include "sim/types.hpp"
@@ -57,7 +58,11 @@ class TorusTopology : public Topology
     double avgMinDistance() const override;
 
     /** Coordinate of @p node along @p dim. */
-    int coord(NodeId node, int dim) const;
+    int
+    coord(NodeId node, int dim) const
+    {
+        return coords_[static_cast<std::size_t>(node * n_ + dim)];
+    }
 
     /** Node at the given coordinates (first n entries used). */
     NodeId nodeAt(const OffsetVec &coords) const;
@@ -140,6 +145,8 @@ class TorusTopology : public Topology
     int n_;
     bool wrap_;
     std::array<int, maxDims + 1> stride_;
+    /// coords_[node * n + d] = (node / k^d) % k, built once (k <= 256).
+    std::vector<std::uint8_t> coords_;
 };
 
 /**

@@ -7,6 +7,9 @@
  * which entities are *visited*, never what a visit does.
  */
 
+#include <algorithm>
+#include <array>
+
 #include <gtest/gtest.h>
 
 #include "chaos/campaign.hpp"
@@ -110,8 +113,7 @@ TEST(ActivitySet, RemovedMidPassEntityIsSkipped)
 TEST(ActivitySet, ReaddedMidPassEntityIsVisitedOnce)
 {
     // Deactivate then reactivate an entity that is ahead of the
-    // cursor: it ends up both in the membership list and in the
-    // mid-pass additions, and must still be visited exactly once.
+    // cursor: it must still be visited, exactly once.
     ActivitySet set;
     set.reset(8);
     set.add(2);
@@ -129,6 +131,126 @@ TEST(ActivitySet, EmptyPassReturnsNoneImmediately)
     ActivitySet set;
     set.reset(4);
     EXPECT_EQ(drainPass(set, 3), std::vector<std::uint32_t>{});
+}
+
+/**
+ * Naive reference of a rotation-ordered pass: a full scan over one
+ * bool per entity starting at offset rot, re-reading the flags at each
+ * step, so mid-pass changes take effect exactly as the scan reaches
+ * (or has already passed) them.
+ */
+struct ScanReference
+{
+    std::vector<bool> on;
+    std::size_t rot = 0;
+    std::size_t scanned = 0;  ///< scan offsets consumed this pass
+
+    explicit ScanReference(std::size_t n) : on(n, false) {}
+
+    void
+    beginPass(std::size_t r)
+    {
+        rot = r % on.size();
+        scanned = 0;
+    }
+
+    std::uint32_t
+    next()
+    {
+        while (scanned < on.size()) {
+            const std::size_t id = (rot + scanned++) % on.size();
+            if (on[id])
+                return static_cast<std::uint32_t>(id);
+        }
+        return ActivitySet::kNone;
+    }
+
+    std::size_t
+    count() const
+    {
+        return static_cast<std::size_t>(
+            std::count(on.begin(), on.end(), true));
+    }
+};
+
+/** One random add or remove, applied to both sets. */
+void
+churn(Rng &rng, ActivitySet &set, ScanReference &ref, std::size_t n)
+{
+    const auto id = static_cast<std::uint32_t>(rng.below(n));
+    if (rng.chance(0.5)) {
+        set.add(id);
+        ref.on[id] = true;
+    } else {
+        set.remove(id);
+        ref.on[id] = false;
+    }
+}
+
+TEST(ActivitySet, RandomizedPassesMatchFullScanAcrossWordBoundaries)
+{
+    for (const std::size_t n :
+         {1u, 63u, 64u, 65u, 127u, 128u, 129u, 256u, 1040u}) {
+        Rng rng(0x5eed0000u + n);
+        for (int trial = 0; trial < 24; ++trial) {
+            ActivitySet set;
+            set.reset(n);
+            ScanReference ref(n);
+            // Occupancy from near-empty to full, so sparse words, dense
+            // words and whole-word runs all occur.
+            const double density =
+                std::array<double, 4>{1.0 / 64, 1.0 / 8, 0.5, 1.0}
+                    [static_cast<std::size_t>(trial % 4)];
+            for (std::size_t id = 0; id < n; ++id) {
+                if (rng.chance(density)) {
+                    set.add(static_cast<std::uint32_t>(id));
+                    ref.on[id] = true;
+                }
+            }
+            for (int pass = 0; pass < 6; ++pass) {
+                const std::size_t rot = rng.below(2 * n);
+                set.beginPass(rot);
+                ref.beginPass(rot);
+                // Changes between beginPass and the first next().
+                for (int c = static_cast<int>(rng.below(3)); c > 0; --c)
+                    churn(rng, set, ref, n);
+                for (;;) {
+                    const std::uint32_t got = set.next();
+                    const std::uint32_t want = ref.next();
+                    ASSERT_EQ(got, want)
+                        << "n=" << n << " trial=" << trial
+                        << " pass=" << pass << " rot=" << rot;
+                    if (got == ActivitySet::kNone)
+                        break;
+                    // The visit may drop the entity being visited and
+                    // re-add it (it must not come round again), and
+                    // wake or drain others ahead of or behind the
+                    // cursor.
+                    if (rng.chance(0.3)) {
+                        set.remove(got);
+                        ref.on[got] = false;
+                        if (rng.chance(0.5)) {
+                            set.add(got);
+                            ref.on[got] = true;
+                        }
+                    }
+                    for (int c = static_cast<int>(rng.below(4)); c > 0;
+                         --c) {
+                        churn(rng, set, ref, n);
+                    }
+                }
+                ASSERT_EQ(set.next(), ActivitySet::kNone);
+                ASSERT_EQ(set.count(), ref.count());
+                for (std::size_t id = 0; id < n; ++id) {
+                    ASSERT_EQ(set.active(static_cast<std::uint32_t>(id)),
+                              ref.on[id]);
+                }
+                // Changes between passes.
+                for (int c = static_cast<int>(rng.below(8)); c > 0; --c)
+                    churn(rng, set, ref, n);
+            }
+        }
+    }
 }
 
 // --- WakeupQueue --------------------------------------------------------

@@ -4,6 +4,7 @@
 
 #include <gtest/gtest.h>
 
+#include "topology/express.hpp"
 #include "topology/torus.hpp"
 
 namespace tpnet {
@@ -224,6 +225,123 @@ INSTANTIATE_TEST_SUITE_P(Geometries, TorusGeometry,
                                            std::make_tuple(16, 2),
                                            std::make_tuple(4, 3),
                                            std::make_tuple(3, 4)));
+
+/**
+ * The coordinate table against the arithmetic it replaced: coord() is
+ * (node / k^d) % k, and neighbor() / offsets() built on it match their
+ * arithmetic forms, on the torus, the mesh and the express cube.
+ */
+class CoordinateTable
+    : public ::testing::TestWithParam<std::tuple<int, int>>
+{};
+
+int
+arithCoord(NodeId node, int dim, int k)
+{
+    int stride = 1;
+    for (int d = 0; d < dim; ++d)
+        stride *= k;
+    return (node / stride) % k;
+}
+
+/** Node reached by moving @p step along @p dim, wrapping the ring. */
+NodeId
+arithMove(NodeId node, int dim, int step, int k)
+{
+    int stride = 1;
+    for (int d = 0; d < dim; ++d)
+        stride *= k;
+    const int c = arithCoord(node, dim, k);
+    return node + (((c + step) % k + k) % k - c) * stride;
+}
+
+OffsetVec
+arithOffsets(NodeId from, NodeId to, int k, int n, bool wrap)
+{
+    OffsetVec off{};
+    for (int d = 0; d < n; ++d) {
+        int delta = arithCoord(to, d, k) - arithCoord(from, d, k);
+        if (wrap) {
+            if (delta > k / 2)
+                delta -= k;
+            else if (delta < -(k - 1) / 2)
+                delta += k;
+            if (2 * delta == -k)
+                delta = k / 2;
+        }
+        off[d] = delta;
+    }
+    return off;
+}
+
+void
+expectArithmeticGeometry(const TorusTopology &t, int k, int n, bool wrap)
+{
+    for (NodeId node = 0; node < t.nodes(); ++node) {
+        for (int d = 0; d < n; ++d)
+            ASSERT_EQ(t.coord(node, d), arithCoord(node, d, k));
+        for (int port = 0; port < 2 * n; ++port) {
+            ASSERT_EQ(t.neighbor(node, port),
+                      arithMove(node, dimOf(port), stepOf(dirOf(port)), k));
+        }
+    }
+    // Every pair on small cubes; a stride of sources on large ones.
+    const NodeId step = t.nodes() > 1024 ? t.nodes() / 64 + 1 : 1;
+    for (NodeId from = 0; from < t.nodes(); from += step) {
+        for (NodeId to = 0; to < t.nodes(); ++to)
+            ASSERT_EQ(t.offsets(from, to), arithOffsets(from, to, k, n, wrap));
+    }
+}
+
+TEST_P(CoordinateTable, TorusMatchesArithmetic)
+{
+    const auto [k, n] = GetParam();
+    expectArithmeticGeometry(TorusTopology(k, n), k, n, true);
+}
+
+TEST_P(CoordinateTable, MeshMatchesArithmetic)
+{
+    const auto [k, n] = GetParam();
+    expectArithmeticGeometry(MeshTopology(k, n), k, n, false);
+}
+
+/** The express cube on the same table; its gap needs k >= 3. */
+class ExpressCoordinateTable : public CoordinateTable
+{};
+
+TEST_P(ExpressCoordinateTable, ExpressCubeMatchesArithmetic)
+{
+    const auto [k, n] = GetParam();
+    const int gap = k / 2 < 2 ? 2 : k / 2;
+    const ExpressCubeTopology t(k, n, gap);
+    expectArithmeticGeometry(t, k, n, true);
+    for (NodeId node = 0; node < t.nodes(); ++node) {
+        for (int d = 0; d < n; ++d) {
+            ASSERT_EQ(t.neighbor(node, 2 * n + 2 * d),
+                      arithMove(node, d, gap, k));
+            ASSERT_EQ(t.neighbor(node, 2 * n + 2 * d + 1),
+                      arithMove(node, d, -gap, k));
+        }
+    }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Geometries, CoordinateTable,
+    ::testing::Combine(::testing::Values(2, 3, 8, 16, 32),
+                       ::testing::Values(1, 2, 3)));
+
+INSTANTIATE_TEST_SUITE_P(
+    Geometries, ExpressCoordinateTable,
+    ::testing::Combine(::testing::Values(3, 8, 16, 32),
+                       ::testing::Values(1, 2, 3)));
+
+TEST(CoordinateTableDeathTest, RadixBeyondTheTableIsRejected)
+{
+    const TorusTopology widest(256, 1);
+    EXPECT_EQ(widest.coord(255, 0), 255);
+    EXPECT_DEATH(TorusTopology(257, 1), "bad torus geometry k=257 n=1");
+    EXPECT_DEATH(MeshTopology(300, 1), "bad torus geometry k=300 n=1");
+}
 
 } // namespace
 } // namespace tpnet
