@@ -83,11 +83,11 @@ main()
     // Torus vs mesh at equal load: the mesh's smaller bisection and
     // longer paths saturate earlier.
     for (double load : loads) {
-        for (bool wrap : {true, false}) {
+        for (TopologyKind kind : {TopologyKind::Torus, TopologyKind::Mesh}) {
             SimConfig cfg = bench::paperConfig(Protocol::TwoPhase);
-            cfg.wrap = wrap;
+            cfg.topology = kind;
             cfg.load = load;
-            runPoint("topology", wrap ? "torus" : "mesh", cfg);
+            runPoint("topology", topologyName(kind), cfg);
         }
         std::printf("\n");
     }

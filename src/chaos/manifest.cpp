@@ -126,11 +126,10 @@ configDigest(const SimConfig &cfg)
     // Versioned canonical encoding: every behavior-relevant field in
     // declaration order. Bump the tag when fields are added/removed so
     // old cache entries and checkpoints are invalidated, not misread.
-    std::uint64_t h = foldTag("tpnet-config-v3");
+    std::uint64_t h = foldTag("tpnet-config-v4");
     h = foldI64(h, static_cast<int>(cfg.topology));
     h = foldI64(h, cfg.k);
     h = foldI64(h, cfg.n);
-    h = foldI64(h, cfg.wrap);
     h = foldI64(h, cfg.expressGap);
     h = foldI64(h, cfg.dfRouters);
     h = foldI64(h, cfg.dfGlobal);

@@ -1,5 +1,6 @@
 #include "sim/config.hpp"
 
+#include <charconv>
 #include <cmath>
 #include <cstddef>
 #include <cstdlib>
@@ -22,18 +23,10 @@ defaultEventEngine()
     return true;
 }
 
-TopologyKind
-SimConfig::effectiveTopology() const
-{
-    if (topology == TopologyKind::Torus && !wrap)
-        return TopologyKind::Mesh;
-    return topology;
-}
-
 int
 SimConfig::nodes() const
 {
-    if (effectiveTopology() == TopologyKind::Dragonfly)
+    if (topology == TopologyKind::Dragonfly)
         return (dfRouters * dfGlobal + 1) * dfRouters;
     int total = 1;
     for (int d = 0; d < n; ++d)
@@ -44,7 +37,7 @@ SimConfig::nodes() const
 int
 SimConfig::radix() const
 {
-    switch (effectiveTopology()) {
+    switch (topology) {
       case TopologyKind::Express:   return 4 * n;
       case TopologyKind::Dragonfly: return dfRouters - 1 + dfGlobal;
       default:                      return 2 * n;
@@ -54,7 +47,7 @@ SimConfig::radix() const
 int
 SimConfig::diameter() const
 {
-    switch (effectiveTopology()) {
+    switch (topology) {
       case TopologyKind::Torus: return n * (k / 2);
       case TopologyKind::Mesh:  return n * (k - 1);
       default:                  return makeTopology(*this)->diameter();
@@ -64,7 +57,7 @@ SimConfig::diameter() const
 double
 SimConfig::avgMinDistance() const
 {
-    switch (effectiveTopology()) {
+    switch (topology) {
       case TopologyKind::Torus: {
         // Mean minimal distance along one ring of k nodes, uniform over
         // all destinations including the source, times n dimensions. For
@@ -121,8 +114,7 @@ patternNeedsPow2(TrafficPattern p)
 void
 SimConfig::validate() const
 {
-    const TopologyKind topo = effectiveTopology();
-    const bool isCube = topo != TopologyKind::Dragonfly;
+    const bool isCube = topology != TopologyKind::Dragonfly;
     if (isCube) {
         if (k < 2)
             tpnet_fatal("k must be >= 2 (got ", k, ")");
@@ -131,7 +123,7 @@ SimConfig::validate() const
     }
     if (adaptiveVcs < 0 || escapeVcs < 1)
         tpnet_fatal("need at least one escape VC per link");
-    switch (topo) {
+    switch (topology) {
       case TopologyKind::Torus:
         if (escapeVcs < 2 && k > 2)
             tpnet_fatal("torus deadlock freedom requires 2 escape (dateline) "
@@ -199,7 +191,7 @@ SimConfig::validate() const
     const bool pow2Nodes = (nodes() & (nodes() - 1)) == 0;
     if (!isCube && pattern != TrafficPattern::Uniform)
         tpnet_fatal(patternName(pattern), " traffic is defined on k-ary "
-                    "n-cube coordinates; --topology ", topologyName(topo),
+                    "n-cube coordinates; --topology ", topologyName(topology),
                     " supports uniform only");
     if (patternNeedsPow2(pattern) && !pow2Nodes)
         tpnet_fatal(patternName(pattern), " traffic requires a power-of-two "
@@ -213,7 +205,7 @@ SimConfig::validate() const
         if (!isCube && tc.pattern != TrafficPattern::Uniform)
             tpnet_fatal("class ", i, ": ", patternName(tc.pattern),
                         " traffic is defined on k-ary n-cube coordinates; "
-                        "--topology ", topologyName(topo),
+                        "--topology ", topologyName(topology),
                         " supports uniform only");
         if (patternNeedsPow2(tc.pattern) && !pow2Nodes)
             tpnet_fatal("class ", i, ": ", patternName(tc.pattern),
@@ -262,28 +254,6 @@ topologyName(TopologyKind t)
     return "?";
 }
 
-bool
-parseTopologyName(const std::string &name, TopologyKind *out)
-{
-    const struct
-    {
-        const char *name;
-        TopologyKind kind;
-    } table[] = {
-        {"torus", TopologyKind::Torus},
-        {"mesh", TopologyKind::Mesh},
-        {"express", TopologyKind::Express},
-        {"dragonfly", TopologyKind::Dragonfly},
-    };
-    for (const auto &row : table) {
-        if (name == row.name) {
-            *out = row.kind;
-            return true;
-        }
-    }
-    return false;
-}
-
 const char *
 patternName(TrafficPattern p)
 {
@@ -299,38 +269,10 @@ patternName(TrafficPattern p)
     return "?";
 }
 
-namespace {
-
-/// Parse name for patternName() output; "neighbor+1" prints but
-/// "neighbor" parses, so round-tripping goes through this table.
 const char *
 patternParseName(TrafficPattern p)
 {
     return p == TrafficPattern::NeighborPlus ? "neighbor" : patternName(p);
-}
-
-} // namespace
-
-bool
-parseProtocolName(const std::string &name, Protocol *out)
-{
-    const struct
-    {
-        const char *name;
-        Protocol proto;
-    } table[] = {
-        {"DOR", Protocol::DimOrder}, {"DP", Protocol::Duato},
-        {"SR", Protocol::Scouting},  {"PCS", Protocol::Pcs},
-        {"MB-m", Protocol::MBm},     {"MBM", Protocol::MBm},
-        {"TP", Protocol::TwoPhase},
-    };
-    for (const auto &row : table) {
-        if (name == row.name) {
-            *out = row.proto;
-            return true;
-        }
-    }
-    return false;
 }
 
 const char *
@@ -344,53 +286,23 @@ victimPolicyName(VictimPolicy p)
     return "?";
 }
 
-bool
-parseVictimPolicyName(const std::string &name, VictimPolicy *out)
-{
-    const struct
-    {
-        const char *name;
-        VictimPolicy policy;
-    } table[] = {
-        {"youngest", VictimPolicy::YoungestMessage},
-        {"fewest-hops", VictimPolicy::FewestHopsHeld},
-        {"random", VictimPolicy::RandomSeeded},
-    };
-    for (const auto &row : table) {
-        if (name == row.name) {
-            *out = row.policy;
-            return true;
-        }
-    }
-    return false;
-}
-
-bool
-parsePatternName(const std::string &name, TrafficPattern *out)
-{
-    const struct
-    {
-        const char *name;
-        TrafficPattern pattern;
-    } table[] = {
-        {"uniform", TrafficPattern::Uniform},
-        {"bit-complement", TrafficPattern::BitComplement},
-        {"transpose", TrafficPattern::Transpose},
-        {"neighbor", TrafficPattern::NeighborPlus},
-        {"tornado", TrafficPattern::Tornado},
-        {"bit-reversal", TrafficPattern::BitReversal},
-        {"shuffle", TrafficPattern::Shuffle},
-    };
-    for (const auto &row : table) {
-        if (name == row.name) {
-            *out = row.pattern;
-            return true;
-        }
-    }
-    return false;
-}
-
 namespace {
+
+/// The enum value whose @p nameOf is @p name. Every value of the
+/// uint8_t-based enum is probed up to the first the name function does
+/// not know ("?").
+template <class E>
+bool
+parseEnumName(const std::string &name, const char *(*nameOf)(E), E *out)
+{
+    for (int v = 0; std::strcmp(nameOf(static_cast<E>(v)), "?") != 0; ++v) {
+        if (name == nameOf(static_cast<E>(v))) {
+            *out = static_cast<E>(v);
+            return true;
+        }
+    }
+    return false;
+}
 
 bool
 specFail(std::string *err, const std::string &what)
@@ -401,6 +313,30 @@ specFail(std::string *err, const std::string &what)
 }
 
 } // namespace
+
+bool
+parseTopologyName(const std::string &name, TopologyKind *out)
+{
+    return parseEnumName(name, topologyName, out);
+}
+
+bool
+parseProtocolName(const std::string &name, Protocol *out)
+{
+    return parseEnumName(name, protocolName, out);
+}
+
+bool
+parseVictimPolicyName(const std::string &name, VictimPolicy *out)
+{
+    return parseEnumName(name, victimPolicyName, out);
+}
+
+bool
+parsePatternName(const std::string &name, TrafficPattern *out)
+{
+    return parseEnumName(name, patternParseName, out);
+}
 
 bool
 parseTrafficClasses(const std::string &spec,
@@ -463,6 +399,14 @@ parseTrafficClasses(const std::string &spec,
 }
 
 std::string
+formatValue(double v)
+{
+    char buf[32];
+    const auto res = std::to_chars(buf, buf + sizeof buf, v);
+    return std::string(buf, res.ptr);
+}
+
+std::string
 formatTrafficClasses(const std::vector<TrafficClassConfig> &classes)
 {
     std::ostringstream os;
@@ -471,16 +415,17 @@ formatTrafficClasses(const std::vector<TrafficClassConfig> &classes)
         if (i)
             os << ';';
         os << "pattern=" << patternParseName(tc.pattern)
-           << ",load=" << tc.load;
+           << ",load=" << formatValue(tc.load);
         if (tc.msgLength)
             os << ",len=" << tc.msgLength;
         if (tc.priority)
             os << ",prio=" << tc.priority;
         if (tc.hotspotFraction > 0.0)
-            os << ",hotspot=" << tc.hotspotFraction
+            os << ",hotspot=" << formatValue(tc.hotspotFraction)
                << ",hotspots=" << tc.hotspotCount;
         if (tc.burstLen)
-            os << ",burst=" << tc.burstLen << ",duty=" << tc.burstDuty;
+            os << ",burst=" << tc.burstLen
+               << ",duty=" << formatValue(tc.burstDuty);
         if (tc.outstanding)
             os << ",outstanding=" << tc.outstanding;
         if (tc.replyLength)
@@ -494,7 +439,7 @@ SimConfig::summary() const
 {
     std::ostringstream os;
     os << protocolName(protocol) << " ";
-    switch (effectiveTopology()) {
+    switch (topology) {
       case TopologyKind::Torus:
         os << k << "-ary " << n << "-cube, ";
         break;

@@ -117,16 +117,12 @@ bool defaultEventEngine();
 struct SimConfig
 {
     // --- Network geometry -------------------------------------------------
-    /// Topology family (--topology). Torus with wrap = false is
-    /// normalized to Mesh by effectiveTopology(), preserving the
-    /// historical --mesh spelling; Express and Dragonfly ignore wrap.
+    /// Topology family (--topology): the paper's torus, or a mesh (same
+    /// addressing, wraparound channels absent, no dateline classes
+    /// needed), an express cube or a dragonfly.
     TopologyKind topology = TopologyKind::Torus;
     int k = 16;  ///< cube radix (nodes per dimension); unused by dragonfly
     int n = 2;   ///< cube dimensions; unused by dragonfly
-    /// Torus (true, the paper's network) or mesh (false): a mesh keeps
-    /// the same addressing but its wraparound channels are absent and
-    /// the deterministic channels need no dateline classes.
-    bool wrap = true;
     /// Express cube only: stride e of the express channels (2 <= e < k).
     int expressGap = 4;
     /// Dragonfly only: routers per group (a).
@@ -248,8 +244,6 @@ struct SimConfig
     int healBackoffBase = 16;
 
     // --- Derived helpers ---------------------------------------------------
-    /// Topology family after normalization (Torus + !wrap => Mesh).
-    TopologyKind effectiveTopology() const;
     int nodes() const;            ///< node count of the configured topology
     int radix() const;            ///< network ports per router
     int vcsPerLink() const { return adaptiveVcs + escapeVcs; }
@@ -293,6 +287,9 @@ bool parseProtocolName(const std::string &name, Protocol *out);
 /** Parse a traffic pattern name (uniform | bit-complement | ...). */
 bool parsePatternName(const std::string &name, TrafficPattern *out);
 
+/** The name parsePatternName() reads back ("neighbor" for neighbor+1). */
+const char *patternParseName(TrafficPattern p);
+
 /**
  * Parse a workload spec string into traffic classes. Classes are
  * separated by ';'; each class is a comma-separated key=value list:
@@ -308,6 +305,9 @@ bool parsePatternName(const std::string &name, TrafficPattern *out);
 bool parseTrafficClasses(const std::string &spec,
                          std::vector<TrafficClassConfig> *out,
                          std::string *err);
+
+/** Shortest decimal text that parses back to exactly @p v. */
+std::string formatValue(double v);
 
 /**
  * Format traffic classes back into the spec-string syntax accepted by

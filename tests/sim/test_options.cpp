@@ -95,6 +95,63 @@ TEST_F(ParserFixture, BadValueRejected)
     EXPECT_NE(err.find("bad value"), std::string::npos);
 }
 
+TEST_F(ParserFixture, TrailingCharactersRejected)
+{
+    std::string err;
+    EXPECT_FALSE(run({"--count", "8abc"}, &err));
+    EXPECT_NE(err.find("bad value '8abc' for --count"), std::string::npos);
+    EXPECT_FALSE(run({"--rate", "0.1x"}, &err));
+    EXPECT_NE(err.find("bad value '0.1x' for --rate"), std::string::npos);
+    EXPECT_FALSE(run({"--count", " 8"}));
+    EXPECT_FALSE(run({"--rate", "nan"}));
+    EXPECT_EQ(count, 0);
+    EXPECT_DOUBLE_EQ(rate, 0.0);
+}
+
+TEST_F(ParserFixture, FractionForIntRejected)
+{
+    std::string err;
+    EXPECT_FALSE(run({"--count", "3.7"}, &err));
+    EXPECT_NE(err.find("bad value '3.7' for --count"), std::string::npos);
+    EXPECT_EQ(count, 0);
+}
+
+TEST_F(ParserFixture, NegativeUnsignedRejected)
+{
+    std::string err;
+    EXPECT_FALSE(run({"--seed", "-1"}, &err));
+    EXPECT_NE(err.find("bad value '-1' for --seed"), std::string::npos);
+    EXPECT_EQ(seed, 0u);
+    EXPECT_TRUE(run({"--seed", "18446744073709551615"}));
+    EXPECT_EQ(seed, 18446744073709551615ull);
+    EXPECT_FALSE(run({"--seed", "18446744073709551616"}));
+}
+
+TEST_F(ParserFixture, GivenTracksTheCommandLine)
+{
+    EXPECT_TRUE(run({"--count", "0"}));
+    EXPECT_TRUE(parser.given("count"));
+    EXPECT_FALSE(parser.given("rate"));
+}
+
+TEST(OptionParserDeath, DuplicateRegistrationIsFatal)
+{
+    OptionParser parser("prog", "test program");
+    int a = 0;
+    int b = 0;
+    parser.addInt("x", "first", &a);
+    EXPECT_DEATH(parser.addInt("x", "second", &b), "registered twice");
+}
+
+TEST(OptionParserDeath, TableRowCollidingWithToolOptionIsFatal)
+{
+    OptionParser parser("prog", "test program");
+    std::uint64_t seed = 0;
+    parser.addUint64("seed", "campaign seed", &seed);
+    ConfigOptions rows;
+    EXPECT_DEATH(rows.bind(parser, {"k", "seed"}), "registered twice");
+}
+
 TEST_F(ParserFixture, PositionalRejected)
 {
     std::string err;

@@ -12,7 +12,7 @@ SimConfig
 meshConfig(Protocol p = Protocol::TwoPhase, int k = 8, int n = 2)
 {
     SimConfig cfg = test::smallConfig(p, k, n);
-    cfg.wrap = false;
+    cfg.topology = TopologyKind::Mesh;
     return cfg;
 }
 

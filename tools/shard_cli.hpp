@@ -25,11 +25,13 @@
 #include <cstdio>
 #include <filesystem>
 #include <iostream>
+#include <optional>
 #include <string>
 #include <vector>
 
 #include "chaos/campaign.hpp"
 #include "chaos/manifest.hpp"
+#include "chaos/report.hpp"
 #include "sim/options.hpp"
 
 namespace tpnet {
@@ -192,24 +194,76 @@ tryShardCache(const ShardCli &s, const std::string &tool,
     return failed ? 1 : 0;
 }
 
+/** This invocation's part of a campaign list. */
+struct ShardRun
+{
+    bool active = false;             ///< sharded(): write a shard file
+    std::size_t total = 0;           ///< campaigns in the full list
+    std::uint64_t key = 0;           ///< this shard's key
+    std::vector<std::size_t> owned;  ///< indices into the full list
+};
+
 /**
- * Write the shard result file and store it into the cache.
+ * Steps 2-4 of the flow: merge and exit, write the manifest, then try
+ * the cache and narrow @p specs and @p seeds to the owned campaigns.
+ * @return an exit code when the tool is done, else nullopt.
+ */
+inline std::optional<int>
+enterShard(const ShardCli &s, const std::string &tool,
+           std::vector<chaos::CampaignSpec> *specs,
+           std::vector<std::uint64_t> *seeds, const std::string &json_path,
+           ShardRun *run)
+{
+    if (!s.mergeDir.empty())
+        return runMergeShards(s, tool, *specs, json_path);
+    if (!writeShardManifest(s, tool, *specs)) {
+        std::fprintf(stderr, "error: cannot write '%s'\n",
+                     s.manifestPath.c_str());
+        return 2;
+    }
+    run->active = sharded(s);
+    run->total = specs->size();
+    if (!run->active)
+        return std::nullopt;
+    run->key = chaos::shardKey(*specs, s.shard);
+    run->owned = chaos::shardIndices(run->total, s.shard);
+    const int cached =
+        tryShardCache(s, tool, run->key, run->total, json_path);
+    if (cached >= 0)
+        return cached;
+    std::vector<chaos::CampaignSpec> mine;
+    std::vector<std::uint64_t> mine_seeds;
+    for (std::size_t idx : run->owned) {
+        mine.push_back((*specs)[idx]);
+        mine_seeds.push_back((*seeds)[idx]);
+    }
+    specs->swap(mine);
+    seeds->swap(mine_seeds);
+    std::printf("# shard %d/%d: owns %zu of %zu campaign(s), key %s\n",
+                s.shard.index, s.shard.count, specs->size(), run->total,
+                chaos::hex64(run->key).c_str());
+    return std::nullopt;
+}
+
+/**
+ * Step 5: write the shard result file and store it into the cache, or
+ * without sharding the plain --json document.
  * @return false on I/O error writing @p json_path.
  */
 inline bool
-writeShardOutputs(const ShardCli &s, const std::string &tool,
-                  std::uint64_t key, std::size_t total,
-                  const std::vector<std::size_t> &owned,
-                  const std::vector<chaos::CampaignResult> &results,
-                  const std::string &json_path)
+writeResults(const ShardCli &s, const ShardRun &run, const std::string &tool,
+             const std::vector<chaos::CampaignResult> &results,
+             const std::string &json_path)
 {
     if (json_path.empty())
         return true;
-    if (!chaos::writeShardJson(json_path, tool, s.shard, total, key,
-                               owned, results))
+    if (!run.active)
+        return chaos::writeCampaignJson(json_path, tool, results);
+    if (!chaos::writeShardJson(json_path, tool, s.shard, run.total,
+                               run.key, run.owned, results))
         return false;
     if (!s.cacheDir.empty() &&
-        !chaos::cacheStore(s.cacheDir, tool, s.shard, key, json_path))
+        !chaos::cacheStore(s.cacheDir, tool, s.shard, run.key, json_path))
         std::fprintf(stderr, "warning: cannot store shard result in "
                              "cache '%s'\n", s.cacheDir.c_str());
     return true;

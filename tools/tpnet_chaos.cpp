@@ -8,9 +8,14 @@
  * intermittent link faults into live traffic, with the progress
  * watchdog and the delivery oracle auditing the run. Any invariant
  * violation fails the campaign; the tool prints the failing seed and
- * exits nonzero. A failure is replayed bit-for-bit with:
+ * exits nonzero with the campaign's replay line, which reproduces it
+ * bit-for-bit:
  *
- *   tpnet_chaos --replay-seed <seed> [same grid options]
+ *   tpnet_chaos --replay-seed <seed> [options that differ from the cell]
+ *
+ * SimConfig options come from the shared table in sim/options.hpp. A
+ * given option wins over every grid cell: --k, --load, --scout-k and
+ * --tail-ack pin their grid axis to the given value.
  *
  * Examples:
  *   tpnet_chaos --campaigns 50 --max-cycles 20000
@@ -43,26 +48,26 @@ struct GridPoint
 };
 
 std::string
-describe(const GridPoint &g)
+describe(const SimConfig &cfg, double fault_scale)
 {
     char buf[96];
     std::snprintf(buf, sizeof buf, "k=%d load=%.2f K=%d %s fx%.1f",
-                  g.k, g.load, g.scoutK,
-                  g.tailAck ? "TAck" : "noAck", g.faultScale);
+                  cfg.k, cfg.load, cfg.scoutK,
+                  cfg.tailAck ? "TAck" : "noAck", fault_scale);
     return buf;
 }
 
 /**
- * The grid is a pure function of the base options, and a campaign's
- * cell is a pure function of its seed — so --replay-seed reproduces
- * the exact run without any extra state.
+ * The grid is a pure function of --no-vary-size, and a campaign's cell
+ * is a pure function of its seed — so --replay-seed reproduces the
+ * exact run without any extra state.
  */
 std::vector<GridPoint>
-buildGrid(int base_k, bool vary_size)
+buildGrid(bool vary_size)
 {
-    std::vector<int> ks{base_k};
-    if (vary_size && base_k / 2 >= 4)
-        ks.push_back(base_k / 2);
+    std::vector<int> ks{8};
+    if (vary_size)
+        ks.push_back(4);
     const double loads[] = {0.05, 0.15};
     const int scout_ks[] = {0, 3};
     const bool tacks[] = {false, true};
@@ -78,6 +83,32 @@ buildGrid(int base_k, bool vary_size)
     return grid;
 }
 
+/** The campaign of grid cell @p g, before any given option. */
+chaos::CampaignSpec
+cellSpec(const SimConfig &base, const GridPoint &g, std::uint64_t seed,
+         Cycle inject, Cycle drain, double fault_scale)
+{
+    chaos::CampaignSpec spec;
+    spec.cfg = base;
+    spec.cfg.k = g.k;
+    spec.cfg.load = g.load;
+    spec.cfg.scoutK = g.scoutK;
+    spec.cfg.tailAck = g.tailAck;
+    spec.seed = seed;
+    spec.injectCycles = inject;
+    spec.drainCycles = drain;
+
+    const double fx = fault_scale * g.faultScale;
+    spec.faults.horizon = inject;
+    spec.faults.earliest = inject / 100;
+    spec.faults.nodeKills = static_cast<int>(std::lround(2.0 * fx));
+    spec.faults.linkKills = static_cast<int>(std::lround(2.0 * fx));
+    spec.faults.intermittents = static_cast<int>(std::lround(3.0 * fx));
+    spec.faults.downMin = 100;
+    spec.faults.downMax = 2000;
+    return spec;
+}
+
 } // namespace
 
 int
@@ -87,29 +118,20 @@ main(int argc, char **argv)
     using namespace tpnet::chaos;
 
     SimConfig base;
-    base.k = 8;
-    base.n = 2;
     base.maxRetries = 6;
 
+    ConfigOptions rows;
     int campaigns = 20;
     int jobs = 0;
     std::uint64_t max_cycles = 20000;
     std::uint64_t drain_cycles = 200000;
     std::uint64_t seed = 1;
     std::uint64_t replay_seed = 0;
-    bool replay = false;
     double fault_scale = 1.0;
     bool no_vary_size = false;
     bool verbose = false;
     bool hook_skip_kills = false;
-    bool verify_cwg = false;
-    bool recovery = false;
-    bool no_event_skip = false;
-    std::string victim = "youngest";
     std::string json_path;
-    std::string protocol = "TP";
-    std::string topology = "torus";
-    std::string classes_spec;
     tools::ShardCli shardcli;
     tools::CheckpointCli ckcli;
 
@@ -117,7 +139,9 @@ main(int argc, char **argv)
         "tpnet_chaos",
         "randomized fault-injection campaigns with a progress watchdog "
         "and an exactly-once delivery oracle; exits nonzero on any "
-        "invariant violation");
+        "invariant violation. Grid axes: k (8, 4), load, scout-k, "
+        "tail-ack and fault scale; --k, --load, --scout-k and --tail-ack "
+        "pin their axis");
     parser.addInt("campaigns", "number of seeded campaigns", &campaigns);
     parser.addJobs(&jobs);
     parser.addUint64("max-cycles", "traffic injection window per campaign",
@@ -129,54 +153,17 @@ main(int argc, char **argv)
     parser.addUint64("replay-seed",
                      "replay exactly one campaign by its seed",
                      &replay_seed);
-    parser.addString("protocol", "DOR | DP | SR | PCS | MB-m | TP",
-                     &protocol);
-    parser.addString("topology",
-                     "torus | mesh | express | dragonfly",
-                     &topology);
-    parser.addInt("k", "base radix (grid also runs k/2 unless "
-                       "--no-vary-size)", &base.k);
-    parser.addInt("n", "dimensions", &base.n);
-    parser.addInt("express-gap",
-                  "express-channel stride per dimension "
-                  "(--topology express)",
-                  &base.expressGap);
-    parser.addInt("df-routers",
-                  "routers per group (--topology dragonfly)",
-                  &base.dfRouters);
-    parser.addInt("df-global",
-                  "global channels per router (--topology dragonfly)",
-                  &base.dfGlobal);
-    parser.addInt("length", "data flits per message", &base.msgLength);
-    parser.addString("classes",
-                     "workload classes replacing the grid cell's "
-                     "uniform traffic: \"pattern=<name>,load=<f>"
-                     "[,len=][,prio=][,hotspot=][,hotspots=][,burst=]"
-                     "[,duty=][,outstanding=][,replylen=]\" joined "
-                     "by ';'",
-                     &classes_spec);
-    parser.addInt("retries", "maxRetries before undeliverable",
-                  &base.maxRetries);
+    rows.bind(parser, {"protocol", "topology", "k", "n", "express-gap",
+                       "df-routers", "df-global", "length", "scout-k",
+                       "retries", "load", "classes", "tail-ack",
+                       "verify-cwg", "recovery", "victim",
+                       "no-event-skip"});
     parser.addDouble("fault-scale",
                      "global multiplier on the per-campaign fault mix",
                      &fault_scale);
-    parser.addFlag("no-vary-size", "keep the topology fixed at --k",
+    parser.addFlag("no-vary-size", "keep the grid's k axis at 8 only",
                    &no_vary_size);
     parser.addFlag("verbose", "print every violation in full", &verbose);
-    parser.addFlag("verify-cwg",
-                   "arm the channel-wait-for-graph deadlock analyzer; "
-                   "Theorem 3 violations fail the campaign with a full "
-                   "cycle diagnosis",
-                   &verify_cwg);
-    parser.addFlag("recovery",
-                   "knot-triggered deadlock recovery mode: free the "
-                   "escape bandwidth and heal knots by victim abort + "
-                   "retransmit (livelock escalations still fail)",
-                   &recovery);
-    parser.addString("victim",
-                     "recovery victim policy: youngest | fewest-hops "
-                     "| random",
-                     &victim);
     parser.addString("json",
                      "write per-campaign structured results (CWG "
                      "counts, warnings, recovery stats) to this file",
@@ -185,75 +172,33 @@ main(int argc, char **argv)
                    "TEST HOOK: break recovery on purpose to prove the "
                    "oracle detects it (campaigns must FAIL)",
                    &hook_skip_kills);
-    parser.addFlag("no-event-skip",
-                   "disable the event engine's idle-cycle fast path "
-                   "(step every cycle; results are bit-identical)",
-                   &no_event_skip);
     tools::addShardOptions(parser, &shardcli);
     tools::addCheckpointOptions(parser, &ckcli);
 
-    std::string error;
-    if (!parser.parse(argc, argv, &error)) {
-        std::fprintf(stderr, "error: %s\n\n%s", error.c_str(),
-                     parser.usage().c_str());
-        return 2;
-    }
-    if (parser.helpRequested()) {
-        std::fputs(parser.usage().c_str(), stdout);
-        return 0;
-    }
-    if (!parseProtocolName(protocol, &base.protocol)) {
-        std::fprintf(stderr, "error: unknown protocol '%s'\n",
-                     protocol.c_str());
-        return 2;
-    }
-    if (!parseVictimPolicyName(victim, &base.victimPolicy)) {
-        std::fprintf(stderr, "error: unknown victim policy '%s'\n",
-                     victim.c_str());
-        return 2;
-    }
-    if (!parseTopologyName(topology, &base.topology)) {
-        std::fprintf(stderr, "error: unknown topology '%s'\n",
-                     topology.c_str());
-        return 2;
-    }
-    base.wrap = base.topology != TopologyKind::Mesh;
-    // Size variation halves k; a dragonfly's scale is (routers, global),
-    // not k, so the grid keeps one size there.
-    if (base.topology == TopologyKind::Dragonfly)
-        no_vary_size = true;
-    if (!classes_spec.empty()) {
-        std::string clsErr;
-        if (!parseTrafficClasses(classes_spec, &base.trafficClasses,
-                                 &clsErr)) {
-            std::fprintf(stderr, "error: --classes: %s\n",
-                         clsErr.c_str());
-            return 2;
-        }
-    }
-    if (recovery && base.protocol == Protocol::DimOrder) {
+    if (const auto rc = parser.parseOrExit(argc, argv, 2))
+        return *rc;
+    SimConfig run_cfg = base;
+    rows.applyTo(&run_cfg);
+    if (run_cfg.recoveryMode && run_cfg.protocol == Protocol::DimOrder) {
         std::fprintf(stderr, "error: --recovery requires an adaptive "
                              "protocol (DOR has no knot to heal "
                              "around)\n");
         return 2;
     }
-    base.recoveryMode = recovery;
-    base.eventEngine = base.eventEngine && !no_event_skip;
 
-    const std::vector<GridPoint> grid =
-        buildGrid(base.k, !no_vary_size);
+    const std::vector<GridPoint> grid = buildGrid(!no_vary_size);
 
-    if (!tools::resolveShardCli(&shardcli, !json_path.empty(),
-                                replay_seed != 0, &error) ||
-        !tools::validateCheckpointCli(ckcli, replay_seed != 0,
-                                      &error)) {
+    const bool replay = parser.given("replay-seed");
+    std::string error;
+    if (!tools::resolveShardCli(&shardcli, !json_path.empty(), replay,
+                                &error) ||
+        !tools::validateCheckpointCli(ckcli, replay, &error)) {
         std::fprintf(stderr, "error: %s\n", error.c_str());
         return 2;
     }
 
     std::vector<std::uint64_t> seeds;
-    if (replay_seed != 0) {
-        replay = true;
+    if (replay) {
         seeds.push_back(replay_seed);
     } else {
         if (campaigns < 1) {
@@ -271,31 +216,11 @@ main(int argc, char **argv)
     std::vector<CampaignSpec> specs;
     specs.reserve(seeds.size());
     for (std::uint64_t s : seeds) {
-        const GridPoint &g = grid[s % grid.size()];
-
-        CampaignSpec spec;
-        spec.cfg = base;
-        spec.cfg.k = g.k;
-        spec.cfg.load = g.load;
-        spec.cfg.scoutK = g.scoutK;
-        spec.cfg.tailAck = g.tailAck;
-        spec.seed = s;
-        spec.injectCycles = max_cycles;
-        spec.drainCycles = drain_cycles;
+        CampaignSpec spec = cellSpec(base, grid[s % grid.size()], s,
+                                     max_cycles, drain_cycles,
+                                     fault_scale);
+        rows.applyTo(&spec.cfg);
         spec.injectSkipKillBug = hook_skip_kills;
-        spec.verifyCwg = verify_cwg;
-
-        const double fx = fault_scale * g.faultScale;
-        spec.faults.horizon = max_cycles;
-        spec.faults.earliest = max_cycles / 100;
-        spec.faults.nodeKills =
-            static_cast<int>(std::lround(2.0 * fx));
-        spec.faults.linkKills =
-            static_cast<int>(std::lround(2.0 * fx));
-        spec.faults.intermittents =
-            static_cast<int>(std::lround(3.0 * fx));
-        spec.faults.downMin = 100;
-        spec.faults.downMax = 2000;
         if (replay)
             tools::applyCheckpointCli(ckcli, &spec);
         specs.push_back(spec);
@@ -304,50 +229,17 @@ main(int argc, char **argv)
     // Sharded execution: the full spec list above is exactly what a
     // monolithic run would execute, so the shard keys, the manifest,
     // and the merge validation all derive from it.
-    if (!shardcli.mergeDir.empty())
-        return tools::runMergeShards(shardcli, "tpnet_chaos", specs,
-                                     json_path);
-    if (!tools::writeShardManifest(shardcli, "tpnet_chaos", specs)) {
-        std::fprintf(stderr, "error: cannot write '%s'\n",
-                     shardcli.manifestPath.c_str());
-        return 2;
-    }
-
-    const bool shard_mode = tools::sharded(shardcli);
-    const std::size_t shard_total = specs.size();
-    std::uint64_t shard_key = 0;
-    std::vector<std::size_t> owned;
-    if (shard_mode) {
-        shard_key = shardKey(specs, shardcli.shard);
-        owned = shardIndices(shard_total, shardcli.shard);
-        const int cached = tools::tryShardCache(
-            shardcli, "tpnet_chaos", shard_key, shard_total,
-            json_path);
-        if (cached >= 0)
-            return cached;
-        std::vector<CampaignSpec> mine;
-        std::vector<std::uint64_t> mine_seeds;
-        mine.reserve(owned.size());
-        mine_seeds.reserve(owned.size());
-        for (std::size_t idx : owned) {
-            mine.push_back(specs[idx]);
-            mine_seeds.push_back(seeds[idx]);
-        }
-        specs.swap(mine);
-        seeds.swap(mine_seeds);
-        std::printf("# shard %d/%d: owns %zu of %zu campaign(s), "
-                    "key %s\n",
-                    shardcli.shard.index, shardcli.shard.count,
-                    specs.size(), shard_total,
-                    hex64(shard_key).c_str());
-    }
+    tools::ShardRun shard;
+    if (const auto rc = tools::enterShard(shardcli, "tpnet_chaos", &specs,
+                                          &seeds, json_path, &shard))
+        return *rc;
 
     std::printf("# tpnet_chaos: %zu campaign(s), protocol %s, grid of "
                 "%zu cells, inject %llu + drain %llu cycles%s\n",
-                seeds.size(), protocolName(base.protocol), grid.size(),
+                seeds.size(), protocolName(run_cfg.protocol), grid.size(),
                 static_cast<unsigned long long>(max_cycles),
                 static_cast<unsigned long long>(drain_cycles),
-                recovery ? ", RECOVERY mode" : "");
+                run_cfg.recoveryMode ? ", RECOVERY mode" : "");
 
     const std::vector<CampaignResult> results =
         runCampaigns(specs, jobs);
@@ -357,7 +249,8 @@ main(int argc, char **argv)
         const std::uint64_t s = seeds[i];
         const GridPoint &g = grid[s % grid.size()];
         const CampaignResult &r = results[i];
-        std::printf("%-28s %s\n", describe(g).c_str(),
+        std::printf("%-28s %s\n",
+                    describe(specs[i].cfg, g.faultScale).c_str(),
                     r.summary().c_str());
         if (!r.passed) {
             ++failures;
@@ -371,18 +264,32 @@ main(int argc, char **argv)
                             r.violations.size() - show);
             }
             if (!replay) {
-                std::string topo_arg;
-                if (base.topology != TopologyKind::Torus) {
-                    topo_arg = std::string(" --topology ") +
-                               topologyName(base.topology);
-                }
-                std::printf("    replay: tpnet_chaos --replay-seed %llu"
-                            "%s%s%s%s\n",
-                            static_cast<unsigned long long>(s),
-                            topo_arg.c_str(),
-                            hook_skip_kills ? " --hook-skip-kills" : "",
-                            no_vary_size ? " --no-vary-size" : "",
-                            recovery ? " --recovery" : "");
+                // The given options and the campaign options that shape
+                // the grid or the spec, each only when it differs from
+                // what --replay-seed alone would rebuild.
+                const CampaignSpec cell =
+                    cellSpec(base, g, s, max_cycles, drain_cycles,
+                             fault_scale);
+                std::vector<std::string> args{
+                    "tpnet_chaos", "--replay-seed", std::to_string(s)};
+                for (const std::string &a : rows.format(specs[i].cfg,
+                                                        cell.cfg))
+                    args.push_back(a);
+                const auto campaignOpt = [&](const char *name,
+                                             const std::string &value) {
+                    if (parser.given(name)) {
+                        args.push_back(std::string("--") + name);
+                        args.push_back(value);
+                    }
+                };
+                campaignOpt("max-cycles", formatValue(max_cycles));
+                campaignOpt("drain", formatValue(drain_cycles));
+                campaignOpt("fault-scale", formatValue(fault_scale));
+                if (no_vary_size)
+                    args.push_back("--no-vary-size");
+                if (hook_skip_kills)
+                    args.push_back("--hook-skip-kills");
+                std::printf("    replay: %s\n", joinArgs(args).c_str());
             }
         }
         std::fflush(stdout);
@@ -390,13 +297,8 @@ main(int argc, char **argv)
 
     if (replay && tools::checkpointArmed(ckcli))
         tools::printCheckpointReport(ckcli, results[0]);
-    if (shard_mode
-            ? !tools::writeShardOutputs(shardcli, "tpnet_chaos",
-                                        shard_key, shard_total, owned,
-                                        results, json_path)
-            : (!json_path.empty() &&
-               !writeCampaignJson(json_path, "tpnet_chaos",
-                                  results))) {
+    if (!tools::writeResults(shardcli, shard, "tpnet_chaos", results,
+                             json_path)) {
         std::fprintf(stderr, "error: cannot write '%s'\n",
                      json_path.c_str());
         return 2;

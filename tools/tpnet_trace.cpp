@@ -14,13 +14,16 @@
  *           trace (no simulation) and print the re-computed digest.
  *   digest  print the digest and record count of a trace file.
  *   check   run the trace-level property checks (VC conservation and,
- *           with --K, the Section 2.2 scout-gap invariant).
+ *           with --scout-k, the Section 2.2 scout-gap invariant).
  *   ckinfo  print the header of a campaign checkpoint file (version,
  *           payload size, payload digest, config digest).
  *
  * Without a subcommand, the legacy live mode renders the diagram of a
  * single freshly simulated message:
- *   tpnet_trace --protocol SR --K 3 --hops 5 --length 8
+ *   tpnet_trace --protocol SR --scout-k 3 --hops 5 --length 8
+ *
+ * SimConfig options (--protocol, --scout-k, --classes, ...) come from
+ * the shared table in sim/options.hpp.
  *
  * Examples:
  *   tpnet_trace --seed 7 record --scenario sr-k3 --out t.bin
@@ -28,6 +31,7 @@
  *   tpnet_trace dump --in t.bin --kind vc-alloc | head
  */
 
+#include <algorithm>
 #include <cinttypes>
 #include <cstdio>
 #include <cstring>
@@ -47,15 +51,19 @@ namespace {
 
 using namespace tpnet;
 
-std::vector<NodeId>
-parseNodes(const std::string &csv)
+/** Parse a comma-separated list of node ids below @p count. */
+bool
+parseNodes(const std::string &csv, int count, std::vector<NodeId> *nodes)
 {
-    std::vector<NodeId> nodes;
     std::istringstream is(csv);
     std::string item;
-    while (std::getline(is, item, ','))
-        nodes.push_back(static_cast<NodeId>(std::atoi(item.c_str())));
-    return nodes;
+    int node = 0;
+    while (std::getline(is, item, ',')) {
+        if (!parseValue(item, &node) || node < 0 || node >= count)
+            return false;
+        nodes->push_back(static_cast<NodeId>(node));
+    }
+    return true;
 }
 
 int
@@ -104,26 +112,8 @@ cmdRecord(OptionParser &parser, int argc, const char *const *argv)
     std::uint64_t seed = 1;
     int jobs = 1;
     int cycles = 0;
-    bool recovery = false;
-    bool no_event_skip = false;
-    std::string victim = "youngest";
-    std::string classes_spec;
+    ConfigOptions rows;
     parser.addString("out", "output trace file", &out);
-    parser.addString("classes",
-                     "workload classes override for the scenario's "
-                     "traffic: \"pattern=<name>,load=<f>[,burst=]"
-                     "[,duty=][,outstanding=]...\" joined by ';' "
-                     "(default: the scenario's own open-loop uniform)",
-                     &classes_spec);
-    parser.addFlag("recovery",
-                   "record the scenario in knot-triggered deadlock "
-                   "recovery mode (digest comparison across --jobs "
-                   "checks recovery determinism)",
-                   &recovery);
-    parser.addString("victim",
-                     "recovery victim policy: youngest | fewest-hops "
-                     "| random",
-                     &victim);
     parser.addString("jsonl", "also write a JSONL text dump here",
                      &jsonl);
     parser.addString("scenario",
@@ -132,22 +122,11 @@ cmdRecord(OptionParser &parser, int argc, const char *const *argv)
     parser.addUint64("seed", "scenario seed", &seed);
     parser.addInt("cycles", "injection window override (0: default)",
                   &cycles);
-    parser.addFlag("no-event-skip",
-                   "disable the event engine's idle-cycle fast path "
-                   "(step every cycle; the trace is bit-identical)",
-                   &no_event_skip);
+    rows.bind(parser, {"classes", "recovery", "victim", "no-event-skip"});
     parser.addJobs(&jobs);
 
-    std::string error;
-    if (!parser.parse(argc, argv, &error)) {
-        std::fprintf(stderr, "error: %s\n\n%s", error.c_str(),
-                     parser.usage().c_str());
-        return 1;
-    }
-    if (parser.helpRequested()) {
-        std::fputs(parser.usage().c_str(), stdout);
-        return 0;
-    }
+    if (const auto rc = parser.parseOrExit(argc, argv, 1))
+        return *rc;
 
     const int idx = scenarioIndex(scenario);
     if (idx < 0) {
@@ -159,24 +138,7 @@ cmdRecord(OptionParser &parser, int argc, const char *const *argv)
         obs::goldenSpecs(seed)[static_cast<std::size_t>(idx)];
     if (cycles > 0)
         spec.cycles = static_cast<Cycle>(cycles);
-    if (!classes_spec.empty()) {
-        std::string clsErr;
-        if (!parseTrafficClasses(classes_spec,
-                                 &spec.cfg.trafficClasses, &clsErr)) {
-            std::fprintf(stderr, "error: --classes: %s\n",
-                         clsErr.c_str());
-            return 1;
-        }
-    }
-    spec.cfg.eventEngine = spec.cfg.eventEngine && !no_event_skip;
-    if (recovery) {
-        spec.cfg.recoveryMode = true;
-        if (!parseVictimPolicyName(victim, &spec.cfg.victimPolicy)) {
-            std::fprintf(stderr, "error: unknown victim policy '%s'\n",
-                         victim.c_str());
-            return 1;
-        }
-    }
+    rows.applyTo(&spec.cfg);
 
     const obs::TraceRecorder rec =
         obs::recordRun(spec, resolveJobs(jobs));
@@ -219,16 +181,8 @@ cmdDump(OptionParser &parser, int argc, const char *const *argv)
     parser.addInt("limit", "stop after N matching events (0: all)",
                   &limit);
 
-    std::string error;
-    if (!parser.parse(argc, argv, &error)) {
-        std::fprintf(stderr, "error: %s\n\n%s", error.c_str(),
-                     parser.usage().c_str());
-        return 1;
-    }
-    if (parser.helpRequested()) {
-        std::fputs(parser.usage().c_str(), stdout);
-        return 0;
-    }
+    if (const auto rc = parser.parseOrExit(argc, argv, 1))
+        return *rc;
 
     std::vector<obs::TraceEvent> events;
     std::uint64_t digest = 0;
@@ -260,16 +214,8 @@ cmdReplay(OptionParser &parser, int argc, const char *const *argv)
                      &msg);
     parser.addInt("width", "max diagram columns", &width);
 
-    std::string error;
-    if (!parser.parse(argc, argv, &error)) {
-        std::fprintf(stderr, "error: %s\n\n%s", error.c_str(),
-                     parser.usage().c_str());
-        return 1;
-    }
-    if (parser.helpRequested()) {
-        std::fputs(parser.usage().c_str(), stdout);
-        return 0;
-    }
+    if (const auto rc = parser.parseOrExit(argc, argv, 1))
+        return *rc;
 
     std::vector<obs::TraceEvent> events;
     std::uint64_t digest = 0;
@@ -295,16 +241,8 @@ cmdDigest(OptionParser &parser, int argc, const char *const *argv)
     std::string in = "trace.bin";
     parser.addString("in", "input trace file", &in);
 
-    std::string error;
-    if (!parser.parse(argc, argv, &error)) {
-        std::fprintf(stderr, "error: %s\n\n%s", error.c_str(),
-                     parser.usage().c_str());
-        return 1;
-    }
-    if (parser.helpRequested()) {
-        std::fputs(parser.usage().c_str(), stdout);
-        return 0;
-    }
+    if (const auto rc = parser.parseOrExit(argc, argv, 1))
+        return *rc;
 
     std::vector<obs::TraceEvent> events;
     std::uint64_t digest = 0;
@@ -320,27 +258,18 @@ int
 cmdCheck(OptionParser &parser, int argc, const char *const *argv)
 {
     std::string in = "trace.bin";
-    int scout_k = -1;
+    int scout_k = 0;
     bool partial = false;
     parser.addString("in", "input trace file", &in);
-    parser.addInt("K", "check the scout-gap invariant with this K "
-                       "(-1: skip)",
+    parser.addInt("scout-k", "check the scout-gap invariant with this K",
                   &scout_k);
     parser.addFlag("partial",
                    "trace did not run to quiescence (skip the "
                    "all-released check)",
                    &partial);
 
-    std::string error;
-    if (!parser.parse(argc, argv, &error)) {
-        std::fprintf(stderr, "error: %s\n\n%s", error.c_str(),
-                     parser.usage().c_str());
-        return 1;
-    }
-    if (parser.helpRequested()) {
-        std::fputs(parser.usage().c_str(), stdout);
-        return 0;
-    }
+    if (const auto rc = parser.parseOrExit(argc, argv, 1))
+        return *rc;
 
     std::vector<obs::TraceEvent> events;
     std::uint64_t digest = 0;
@@ -356,7 +285,7 @@ cmdCheck(OptionParser &parser, int argc, const char *const *argv)
         std::printf("vc-balance: FAIL — %s\n", vc.error.c_str());
         ++failures;
     }
-    if (scout_k >= 0) {
+    if (parser.given("scout-k")) {
         const obs::CheckResult gap = obs::checkScoutGap(events, scout_k);
         if (gap.ok) {
             std::printf("scout-gap (K=%d): ok (%zu data crossings)\n",
@@ -376,16 +305,8 @@ cmdCkInfo(OptionParser &parser, int argc, const char *const *argv)
     std::string in = "campaign.ck";
     parser.addString("in", "input checkpoint file", &in);
 
-    std::string error;
-    if (!parser.parse(argc, argv, &error)) {
-        std::fprintf(stderr, "error: %s\n\n%s", error.c_str(),
-                     parser.usage().c_str());
-        return 1;
-    }
-    if (parser.helpRequested()) {
-        std::fputs(parser.usage().c_str(), stdout);
-        return 0;
-    }
+    if (const auto rc = parser.parseOrExit(argc, argv, 1))
+        return *rc;
 
     std::ifstream is(in, std::ios::binary);
     if (!is) {
@@ -393,6 +314,7 @@ cmdCkInfo(OptionParser &parser, int argc, const char *const *argv)
         return 1;
     }
     obs::CheckpointFileInfo info;
+    std::string error;
     if (!obs::readCheckpointInfo(is, &info, &error)) {
         std::fprintf(stderr, "error: %s: %s\n", in.c_str(),
                      error.c_str());
@@ -411,8 +333,8 @@ legacyLive(int argc, const char *const *argv)
     SimConfig cfg;
     cfg.msgLength = 8;
     cfg.load = 0.0;
-    std::string protocol = "SR";
-    std::string topology = "torus";
+    cfg.protocol = Protocol::Scouting;
+    ConfigOptions rows;
     std::string fail_csv;
     int hops = 5;
     int dst = -1;
@@ -420,21 +342,11 @@ legacyLive(int argc, const char *const *argv)
     int width = 120;
 
     OptionParser parser("tpnet_trace",
-                        "time-space diagram of one message (Fig. 1); "
-                        "see also the record/dump/replay/digest/check "
-                        "subcommands");
-    parser.addString("protocol", "DOR | DP | SR | PCS | MB-m | TP",
-                     &protocol);
-    parser.addString("topology",
-                     "torus | mesh (the hop-count synthesizer walks "
-                     "cube coordinates; express/dragonfly diagrams "
-                     "need an explicit --dst via the record subcommand)",
-                     &topology);
-    parser.addInt("k", "radix", &cfg.k);
-    parser.addInt("n", "dimensions", &cfg.n);
-    parser.addInt("K", "scouting distance", &cfg.scoutK);
-    parser.addInt("m", "misroute limit", &cfg.misrouteLimit);
-    parser.addInt("length", "data flits", &cfg.msgLength);
+                        "time-space diagram of one message (Fig. 1) on a "
+                        "torus or mesh; see also the record/dump/replay/"
+                        "digest/check subcommands");
+    rows.bind(parser, {"protocol", "topology", "k", "n", "length",
+                       "scout-k", "m"});
     parser.addInt("hops", "path length along dim 0 (ignored with --dst)",
                   &hops);
     parser.addInt("src", "source node id", &src);
@@ -443,26 +355,9 @@ legacyLive(int argc, const char *const *argv)
                      &fail_csv);
     parser.addInt("width", "max diagram columns", &width);
 
-    std::string error;
-    if (!parser.parse(argc, argv, &error)) {
-        std::fprintf(stderr, "error: %s\n\n%s", error.c_str(),
-                     parser.usage().c_str());
-        return 1;
-    }
-    if (parser.helpRequested()) {
-        std::fputs(parser.usage().c_str(), stdout);
-        return 0;
-    }
-    if (!parseProtocolName(protocol, &cfg.protocol)) {
-        std::fprintf(stderr, "error: unknown protocol '%s'\n",
-                     protocol.c_str());
-        return 1;
-    }
-    if (!parseTopologyName(topology, &cfg.topology)) {
-        std::fprintf(stderr, "error: unknown topology '%s'\n",
-                     topology.c_str());
-        return 1;
-    }
+    if (const auto rc = parser.parseOrExit(argc, argv, 1))
+        return *rc;
+    rows.applyTo(&cfg);
     if (cfg.topology != TopologyKind::Torus &&
         cfg.topology != TopologyKind::Mesh) {
         std::fprintf(stderr,
@@ -473,7 +368,6 @@ legacyLive(int argc, const char *const *argv)
                      topologyName(cfg.topology));
         return 1;
     }
-    cfg.wrap = cfg.topology != TopologyKind::Mesh;
     cfg.validate();
 
     if (cfg.protocol == Protocol::Scouting && cfg.scoutK == 0)
@@ -483,7 +377,8 @@ legacyLive(int argc, const char *const *argv)
         const int dy = hops - dx;
         dst = src;
         OffsetVec coords{};
-        TorusTopology topo(cfg.k, cfg.n, cfg.wrap);
+        TorusTopology topo(cfg.k, cfg.n,
+                           cfg.topology == TopologyKind::Torus);
         for (int d = 0; d < cfg.n; ++d)
             coords[d] = topo.coord(src, d);
         coords[0] = (coords[0] + dx) % cfg.k;
@@ -492,8 +387,15 @@ legacyLive(int argc, const char *const *argv)
         dst = topo.nodeAt(coords);
     }
 
+    std::vector<NodeId> fails;
+    if (!parseNodes(fail_csv, cfg.nodes(), &fails)) {
+        std::fprintf(stderr, "error: --fail '%s' is not a list of node "
+                             "ids below %d\n",
+                     fail_csv.c_str(), cfg.nodes());
+        return 1;
+    }
     Network net(cfg);
-    for (NodeId f : parseNodes(fail_csv)) {
+    for (NodeId f : fails) {
         if (f == src || f == dst) {
             std::fprintf(stderr, "error: cannot fail src/dst node %d\n",
                          f);
@@ -529,67 +431,38 @@ legacyLive(int argc, const char *const *argv)
 int
 main(int argc, char **argv)
 {
-    // The subcommand is the first argument matching a known name; flags
-    // may precede it (`tpnet_trace --seed 7 record` works). Everything
-    // else is passed on to the subcommand's parser.
-    static const char *const subcommands[] = {"record", "dump", "replay",
-                                              "digest", "check",
-                                              "ckinfo"};
-    const char *sub = nullptr;
-    std::vector<const char *> rest;
-    rest.push_back(argv[0]);
+    // The subcommand is the first argument naming one; flags may precede
+    // it (`tpnet_trace --seed 7 record` works). Everything else is
+    // passed on to the subcommand's parser.
+    static const struct
+    {
+        const char *name;
+        const char *what;
+        int (*run)(OptionParser &, int, const char *const *);
+    } commands[] = {
+        {"record", "record a canonical seeded scenario", cmdRecord},
+        {"dump", "print recorded events as JSONL", cmdDump},
+        {"replay", "time-space diagram from a recorded trace", cmdReplay},
+        {"digest", "digest and record count of a trace file", cmdDigest},
+        {"check", "trace-level property checks", cmdCheck},
+        {"ckinfo", "header of a campaign checkpoint file", cmdCkInfo},
+    };
+    const auto *const none = std::end(commands);
+    const auto *sub = none;
+    std::vector<const char *> rest{argv[0]};
     for (int i = 1; i < argc; ++i) {
-        if (!sub) {
-            for (const char *name : subcommands) {
-                if (std::strcmp(argv[i], name) == 0) {
-                    sub = argv[i];
-                    break;
-                }
-            }
-            if (sub == argv[i])
+        if (sub == none) {
+            sub = std::find_if(std::begin(commands), none, [&](auto &c) {
+                return std::strcmp(argv[i], c.name) == 0;
+            });
+            if (sub != none)
                 continue;
         }
         rest.push_back(argv[i]);
     }
     const int rargc = static_cast<int>(rest.size());
-    const char *const *rargv = rest.data();
-
-    if (!sub)
-        return legacyLive(rargc, rargv);
-
-    if (std::strcmp(sub, "record") == 0) {
-        OptionParser parser("tpnet_trace record",
-                            "record a canonical seeded scenario");
-        return cmdRecord(parser, rargc, rargv);
-    }
-    if (std::strcmp(sub, "dump") == 0) {
-        OptionParser parser("tpnet_trace dump",
-                            "print recorded events as JSONL");
-        return cmdDump(parser, rargc, rargv);
-    }
-    if (std::strcmp(sub, "replay") == 0) {
-        OptionParser parser("tpnet_trace replay",
-                            "time-space diagram from a recorded trace");
-        return cmdReplay(parser, rargc, rargv);
-    }
-    if (std::strcmp(sub, "digest") == 0) {
-        OptionParser parser("tpnet_trace digest",
-                            "digest and record count of a trace file");
-        return cmdDigest(parser, rargc, rargv);
-    }
-    if (std::strcmp(sub, "check") == 0) {
-        OptionParser parser("tpnet_trace check",
-                            "trace-level property checks");
-        return cmdCheck(parser, rargc, rargv);
-    }
-    if (std::strcmp(sub, "ckinfo") == 0) {
-        OptionParser parser("tpnet_trace ckinfo",
-                            "header of a campaign checkpoint file");
-        return cmdCkInfo(parser, rargc, rargv);
-    }
-    std::fprintf(stderr,
-                 "error: unknown subcommand '%s' (record | dump | replay "
-                 "| digest | check | ckinfo)\n",
-                 sub);
-    return 1;
+    if (sub == none)
+        return legacyLive(rargc, rest.data());
+    OptionParser parser(std::string("tpnet_trace ") + sub->name, sub->what);
+    return sub->run(parser, rargc, rest.data());
 }

@@ -26,8 +26,10 @@
  * topology, halve the load), then event-level delta debugging of the
  * pinned fault timeline — each individual kill/restore event is
  * removed if the failure survives without it. The minimal case is
- * printed as a single replayable command, topology-qualified and with
- * the surviving events inline.
+ * printed as a single replayable command: the seed plus every option
+ * that differs from the seed's grid cell, with the surviving events
+ * inline. SimConfig options come from the shared table in
+ * sim/options.hpp; one given on the command line beats every cell.
  *
  * With --recovery the same grid runs in knot-triggered deadlock
  * recovery mode (DESIGN.md Section 6g): escape bandwidth is released
@@ -46,318 +48,20 @@
  *   tpnet_verify --replay-seed 42 --fault-events "120:n:5:-1:0"
  */
 
-#include <cmath>
 #include <cstdio>
-#include <sstream>
 #include <string>
 #include <vector>
 
-#include "chaos/campaign.hpp"
 #include "chaos/report.hpp"
 #include "chaos/shrink.hpp"
 #include "sim/log.hpp"
-#include "sim/options.hpp"
-#include "shard_cli.hpp"
+#include "verify_grid.hpp"
 
 namespace {
 
 using namespace tpnet;
 using namespace tpnet::chaos;
-
-/** One cell of the fuzz grid. */
-struct GridPoint
-{
-    Protocol proto;
-    int scoutK;
-    double load;
-    double faultScale;
-    int k;                    ///< radix
-    int n;                    ///< dimensions
-    /// Topology family; the cube fields above only apply to cube kinds.
-    TopologyKind topo = TopologyKind::Torus;
-    int expressGap = 4;       ///< express-channel stride (Express)
-    int dfRouters = 4;        ///< routers per group (Dragonfly)
-    int dfGlobal = 1;         ///< global channels per router (Dragonfly)
-    bool tailAck = false;
-    bool hardwareAcks = false;
-    /// Workload-library cell: a --classes spec replacing the open-loop
-    /// uniform injector (empty = legacy uniform at `load`).
-    std::string workload;     ///< short display tag
-    std::string classes;      ///< parseTrafficClasses spec
-};
-
-std::string
-describe(const GridPoint &g)
-{
-    char topo[32];
-    switch (g.topo) {
-      case TopologyKind::Mesh:
-        std::snprintf(topo, sizeof topo, "%2d-ary %d-mesh", g.k, g.n);
-        break;
-      case TopologyKind::Express:
-        std::snprintf(topo, sizeof topo, "%2d-ary %d-xc/e%d", g.k, g.n,
-                      g.expressGap);
-        break;
-      case TopologyKind::Dragonfly:
-        std::snprintf(topo, sizeof topo, "dfly(%d,%d)", g.dfRouters,
-                      g.dfGlobal);
-        break;
-      default:
-        std::snprintf(topo, sizeof topo, "%2d-ary %d-cube", g.k, g.n);
-        break;
-    }
-    char buf[112];
-    std::snprintf(buf, sizeof buf,
-                  "%-4s %-13s K=%d load=%.2f fx%.1f%s%s",
-                  protocolName(g.proto), topo, g.scoutK, g.load,
-                  g.faultScale, g.tailAck ? " TAck" : "",
-                  g.hardwareAcks ? " HWAck" : "");
-    std::string out = buf;
-    if (!g.workload.empty())
-        out += " [" + g.workload + "]";
-    return out;
-}
-
-/**
- * Protocol and topology coverage is the point here: every flow-control
- * mechanism the paper configures (Duato baseline, circuit setup,
- * scouting at each K, two-phase with and without scouting) gets fuzzed
- * against the same fault timelines, on the paper's own topologies
- * (Section 6 evaluates 16-ary 2-cubes; Section 5.0 walks a 3-cube).
- */
-std::vector<GridPoint>
-buildGrid()
-{
-    struct ProtoCell
-    {
-        Protocol proto;
-        int scoutK;
-    };
-    const ProtoCell protos[] = {
-        {Protocol::Duato, 0},    {Protocol::Pcs, 0},
-        {Protocol::Scouting, 1}, {Protocol::Scouting, 2},
-        {Protocol::Scouting, 3}, {Protocol::Scouting, 4},
-        {Protocol::Scouting, 5}, {Protocol::TwoPhase, 0},
-        {Protocol::TwoPhase, 3},
-    };
-
-    // Block 0: the original 8-ary 2-cube grid.
-    std::vector<std::vector<GridPoint>> blocks(1);
-    for (const ProtoCell &p : protos)
-        for (double load : {0.05, 0.15})
-            for (double fx : {1.0, 2.0})
-                blocks[0].push_back(
-                    {p.proto, p.scoutK, load, fx, 8, 2});
-
-    // Block 1: binary 3-cube (the n=3 hypercube of Section 5.0 —
-    // 8 nodes, so faults bite hard).
-    blocks.emplace_back();
-    for (const ProtoCell &p : protos)
-        blocks.back().push_back({p.proto, p.scoutK, 0.10, 1.0, 2, 3});
-
-    // Block 2: 4-ary 3-cube (64 nodes, three dimensions of adaptivity).
-    blocks.emplace_back();
-    for (const ProtoCell &p : protos)
-        blocks.back().push_back({p.proto, p.scoutK, 0.15, 2.0, 4, 3});
-
-    // Block 3: 16-ary 2-cube (the Section 6 evaluation topology) at a
-    // higher injection load.
-    blocks.emplace_back();
-    for (const ProtoCell &p : protos)
-        blocks.back().push_back({p.proto, p.scoutK, 0.25, 2.0, 16, 2});
-
-    // Block 4: high load on the base torus — saturation transients.
-    blocks.emplace_back();
-    for (const ProtoCell &p : protos)
-        blocks.back().push_back({p.proto, p.scoutK, 0.30, 1.0, 8, 2});
-
-    // Block 5: ack-configuration cells — tail acks and hardware ack
-    // signalling change teardown timing, the raw material of kill
-    // races.
-    blocks.emplace_back();
-    const ProtoCell ackProtos[] = {
-        {Protocol::Duato, 0},
-        {Protocol::Pcs, 0},
-        {Protocol::Scouting, 3},
-        {Protocol::TwoPhase, 3},
-    };
-    for (const ProtoCell &p : ackProtos) {
-        GridPoint tack{p.proto, p.scoutK, 0.15, 2.0, 8, 2};
-        tack.tailAck = true;
-        blocks.back().push_back(tack);
-        GridPoint hw{p.proto, p.scoutK, 0.15, 2.0, 8, 2};
-        hw.hardwareAcks = true;
-        blocks.back().push_back(hw);
-    }
-
-    // Block 6: workload-library cells — bursty on-off injection,
-    // multi-class permutation mixes with a hotspot background, and
-    // closed-loop request-reply traffic, all on the base torus. The
-    // rest of the grid leaves the traffic layer at open-loop uniform;
-    // these cells fuzz the injector's burst machines, priority
-    // arbitration, and reply dependencies against the same fault
-    // timelines.
-    blocks.emplace_back();
-    struct WorkloadCell
-    {
-        const char *name;
-        const char *classes;
-    };
-    const WorkloadCell workloads[] = {
-        {"bursty", "pattern=uniform,load=0.15,burst=8,duty=0.25"},
-        {"transpose+hot", "pattern=transpose,load=0.10,prio=1;"
-                          "pattern=uniform,load=0.05,hotspot=0.1,"
-                          "hotspots=4"},
-        {"closed-loop", "pattern=uniform,load=0.10,outstanding=2,"
-                        "replylen=4"},
-        {"bursty-tornado", "pattern=tornado,load=0.12,burst=16,"
-                           "duty=0.5"},
-    };
-    for (const WorkloadCell &w : workloads) {
-        for (const ProtoCell &p : ackProtos) {
-            GridPoint cell{p.proto, p.scoutK, 0.15, 2.0, 8, 2};
-            cell.workload = w.name;
-            cell.classes = w.classes;
-            blocks.back().push_back(cell);
-        }
-    }
-
-    // Block 7: 8-ary 2-mesh — first-class mesh: no wraparound
-    // channels, boundary-truncated escape routing (single dateline
-    // class suffices, but the grid keeps the configured default).
-    blocks.emplace_back();
-    for (const ProtoCell &p : protos) {
-        GridPoint cell{p.proto, p.scoutK, 0.15, 2.0, 8, 2};
-        cell.topo = TopologyKind::Mesh;
-        blocks.back().push_back(cell);
-    }
-
-    // Block 8: 8-ary 2-cube with express channels of stride 4 —
-    // adaptive hops can cross datelines in stride-length jumps while
-    // the escape subnetwork stays the local-channel e-cube.
-    blocks.emplace_back();
-    for (const ProtoCell &p : protos) {
-        GridPoint cell{p.proto, p.scoutK, 0.15, 2.0, 8, 2};
-        cell.topo = TopologyKind::Express;
-        cell.expressGap = 4;
-        blocks.back().push_back(cell);
-    }
-
-    // Block 9: dragonfly with 4-router groups and 2 global channels
-    // per router (9 groups, 36 nodes) — hierarchical escape routing
-    // with destination-group VC classes instead of datelines.
-    blocks.emplace_back();
-    for (const ProtoCell &p : protos) {
-        GridPoint cell{p.proto, p.scoutK, 0.15, 2.0, 8, 2};
-        cell.topo = TopologyKind::Dragonfly;
-        cell.dfRouters = 4;
-        cell.dfGlobal = 2;
-        blocks.back().push_back(cell);
-    }
-
-    // Interleave the blocks round-robin so consecutive seeds sample
-    // every topology.
-    std::vector<GridPoint> grid;
-    std::size_t idx = 0;
-    for (bool any = true; any; ++idx) {
-        any = false;
-        for (const auto &block : blocks) {
-            if (idx < block.size()) {
-                grid.push_back(block[idx]);
-                any = true;
-            }
-        }
-    }
-    return grid;
-}
-
-CampaignSpec
-buildSpec(const SimConfig &base, const GridPoint &g, std::uint64_t seed,
-          Cycle inject, Cycle drain, double fault_scale)
-{
-    CampaignSpec spec;
-    spec.cfg = base;
-    spec.cfg.protocol = g.proto;
-    spec.cfg.scoutK = g.scoutK;
-    spec.cfg.load = g.load;
-    spec.cfg.k = g.k;
-    spec.cfg.n = g.n;
-    spec.cfg.topology = g.topo;
-    spec.cfg.wrap = g.topo != TopologyKind::Mesh;
-    spec.cfg.expressGap = g.expressGap;
-    spec.cfg.dfRouters = g.dfRouters;
-    spec.cfg.dfGlobal = g.dfGlobal;
-    spec.cfg.tailAck = g.tailAck;
-    spec.cfg.hardwareAcks = g.hardwareAcks;
-    if (!g.classes.empty()) {
-        std::string err;
-        if (!parseTrafficClasses(g.classes, &spec.cfg.trafficClasses,
-                                 &err))
-            tpnet_panic("bad grid workload spec '%s': %s",
-                        g.classes.c_str(), err.c_str());
-    }
-    spec.seed = seed;
-    spec.injectCycles = inject;
-    spec.drainCycles = drain;
-    spec.verifyCwg = true;
-
-    const double fx = fault_scale * g.faultScale;
-    spec.faults.horizon = inject;
-    spec.faults.earliest = inject / 100;
-    spec.faults.nodeKills = static_cast<int>(std::lround(2.0 * fx));
-    spec.faults.linkKills = static_cast<int>(std::lround(2.0 * fx));
-    spec.faults.intermittents = static_cast<int>(std::lround(3.0 * fx));
-    spec.faults.downMin = 100;
-    spec.faults.downMax = 2000;
-    return spec;
-}
-
-/**
- * One-line replay of @p spec, topology-qualified (--k AND --n, plus
- * the ack flags when set) so failures on non-default tori reproduce
- * exactly. A pinned fault timeline rides along as --fault-events.
- */
-std::string
-replayCommand(const CampaignSpec &spec)
-{
-    std::ostringstream os;
-    os << "tpnet_verify --replay-seed " << spec.seed << " --protocol "
-       << protocolName(spec.cfg.protocol) << " --scout-k "
-       << spec.cfg.scoutK << " --k " << spec.cfg.k << " --n "
-       << spec.cfg.n;
-    if (spec.cfg.effectiveTopology() != TopologyKind::Torus) {
-        os << " --topology "
-           << topologyName(spec.cfg.effectiveTopology());
-        if (spec.cfg.effectiveTopology() == TopologyKind::Express)
-            os << " --express-gap " << spec.cfg.expressGap;
-        if (spec.cfg.effectiveTopology() == TopologyKind::Dragonfly)
-            os << " --df-routers " << spec.cfg.dfRouters
-               << " --df-global " << spec.cfg.dfGlobal;
-    }
-    if (spec.cfg.tailAck)
-        os << " --tail-ack";
-    if (spec.cfg.hardwareAcks)
-        os << " --hardware-acks";
-    if (spec.cfg.recoveryMode)
-        os << " --recovery --victim "
-           << victimPolicyName(spec.cfg.victimPolicy);
-    char load[32];
-    std::snprintf(load, sizeof load, "%.4f", spec.cfg.load);
-    os << " --load " << load;
-    if (!spec.cfg.trafficClasses.empty())
-        os << " --classes \""
-           << formatTrafficClasses(spec.cfg.trafficClasses) << "\"";
-    os << " --inject " << spec.injectCycles;
-    if (!spec.scriptedFaults.empty()) {
-        os << " --fault-events \""
-           << formatFaultEvents(spec.scriptedFaults) << "\"";
-    } else {
-        os << " --node-kills " << spec.faults.nodeKills
-           << " --link-kills " << spec.faults.linkKills
-           << " --intermittents " << spec.faults.intermittents;
-    }
-    return os.str();
-}
+using tools::VerifyCli;
 
 /** Aggregate one mode x fault-intensity cell of the comparison. */
 struct ModeTotals
@@ -402,10 +106,7 @@ struct ModeTotals
  * the columns.
  */
 int
-runComparison(const SimConfig &base, const std::vector<GridPoint> &grid,
-              std::uint64_t seed, int campaigns, int jobs,
-              Cycle inject, Cycle drain, VictimPolicy victim_policy,
-              const std::string &json_path)
+runComparison(const VerifyCli &cli)
 {
     const double axis[] = {0.5, 1.0, 2.0, 4.0};
     struct WorkloadAxis
@@ -424,8 +125,8 @@ runComparison(const SimConfig &base, const std::vector<GridPoint> &grid,
                 "the %zu-cell grid, fault-intensity axis x{0.5, 1, 2, "
                 "4}, workload axis x{uniform, bursty, transpose}, "
                 "victim policy %s\n",
-                campaigns, grid.size(),
-                victimPolicyName(victim_policy));
+                cli.campaigns, cli.grid.size(),
+                victimPolicyName(cli.spec(cli.seed, 1.0).cfg.victimPolicy));
     std::printf("# %-9s %-4s %-10s %5s %5s %7s %8s %8s %5s %10s %8s "
                 "%7s %9s\n",
                 "workload", "fx", "mode", "fail", "viol", "knots",
@@ -439,29 +140,21 @@ runComparison(const SimConfig &base, const std::vector<GridPoint> &grid,
         for (int mode = 0; mode < 2; ++mode) {
             const bool recovery = mode == 1;
             std::vector<CampaignSpec> specs;
-            specs.reserve(static_cast<std::size_t>(campaigns));
-            for (int i = 0; i < campaigns; ++i) {
-                const std::uint64_t s =
-                    seed + static_cast<std::uint64_t>(i);
-                const GridPoint &g = grid[s % grid.size()];
-                CampaignSpec spec =
-                    buildSpec(base, g, s, inject, drain, fx);
-                if (w.classes[0] != '\0') {
-                    std::string err;
-                    if (!parseTrafficClasses(w.classes,
-                                             &spec.cfg.trafficClasses,
-                                             &err))
-                        tpnet_panic("bad workload axis spec '%s': %s",
-                                    w.classes, err.c_str());
-                }
-                if (recovery) {
-                    spec.cfg.recoveryMode = true;
-                    spec.cfg.victimPolicy = victim_policy;
-                }
+            specs.reserve(static_cast<std::size_t>(cli.campaigns));
+            for (int i = 0; i < cli.campaigns; ++i) {
+                CampaignSpec spec = cli.spec(
+                    cli.seed + static_cast<std::uint64_t>(i), fx);
+                std::string err;
+                if (w.classes[0] != '\0' &&
+                    !setConfigOption(&spec.cfg, "classes", w.classes,
+                                     &err))
+                    tpnet_panic("bad workload axis spec '", w.classes,
+                                "': ", err);
+                spec.cfg.recoveryMode = recovery;
                 specs.push_back(spec);
             }
             const std::vector<CampaignResult> results =
-                runCampaigns(specs, jobs);
+                runCampaigns(specs, cli.jobs);
             ModeTotals t;
             for (const CampaignResult &r : results)
                 t.fold(r);
@@ -493,11 +186,11 @@ runComparison(const SimConfig &base, const std::vector<GridPoint> &grid,
     }
     }
 
-    if (!json_path.empty() &&
-        !writeCampaignJson(json_path, "tpnet_verify --compare",
+    if (!cli.jsonPath.empty() &&
+        !writeCampaignJson(cli.jsonPath, "tpnet_verify --compare",
                            all_results)) {
         std::fprintf(stderr, "error: cannot write '%s'\n",
-                     json_path.c_str());
+                     cli.jsonPath.c_str());
         return 2;
     }
     if (failures == 0) {
@@ -515,359 +208,93 @@ runComparison(const SimConfig &base, const std::vector<GridPoint> &grid,
 int
 main(int argc, char **argv)
 {
-    SimConfig base;
-    base.maxRetries = 6;
-
-    int campaigns = 50;
-    int jobs = 0;
-    std::uint64_t max_cycles = 8000;
-    std::uint64_t drain_cycles = 200000;
-    std::uint64_t seed = 1;
-    std::uint64_t replay_seed = 0;
-    double fault_scale = 1.0;
-    double load_override = -1.0;
-    std::uint64_t inject_override = 0;
-    int node_kills = -1;
-    int link_kills = -1;
-    int intermittents = -1;
-    int scout_k = -1;
-    int k_override = 0;
-    int n_override = 0;
-    std::string topology;
-    int express_gap = 0;
-    int df_routers = 0;
-    int df_global = 0;
-    bool tail_ack = false;
-    bool hardware_acks = false;
-    bool no_shrink = false;
-    bool verbose = false;
-    bool recovery = false;
-    bool compare = false;
-    bool no_event_skip = false;
-    std::string victim = "youngest";
-    std::string json_path;
-    std::string protocol;
-    std::string fault_events;
-    std::string classes_spec;
-    tools::ShardCli shardcli;
-    tools::CheckpointCli ckcli;
-
+    VerifyCli cli;
     OptionParser parser(
         "tpnet_verify",
         "fuzz the online channel-wait-for-graph deadlock analyzer "
         "(knot-based verdicts) across protocol / topology / K / load / "
         "fault grids; failing seeds are shrunk class-level then "
-        "event-by-event to a minimal replayable case");
-    parser.addInt("campaigns", "number of seeded campaigns", &campaigns);
-    parser.addJobs(&jobs);
-    parser.addUint64("max-cycles", "traffic injection window per campaign",
-                     &max_cycles);
-    parser.addUint64("drain", "extra cycles allowed to reach quiescence",
-                     &drain_cycles);
-    parser.addUint64("seed", "base seed (campaign i uses seed + i)",
-                     &seed);
-    parser.addUint64("replay-seed",
-                     "replay exactly one campaign by its seed",
-                     &replay_seed);
-    parser.addString("protocol",
-                     "replay override: DOR | DP | SR | PCS | MB-m | TP",
-                     &protocol);
-    parser.addInt("scout-k", "replay override: scouting distance K",
-                  &scout_k);
-    parser.addInt("k", "replay override: radix (0 = grid cell's)",
-                  &k_override);
-    parser.addInt("n", "replay override: dimensions (0 = grid cell's)",
-                  &n_override);
-    parser.addString("topology",
-                     "override: force torus | mesh | express | "
-                     "dragonfly on every campaign (replay, or a "
-                     "focused sweep of one topology)",
-                     &topology);
-    parser.addInt("express-gap",
-                  "override: express-channel stride (0 = grid cell's)",
-                  &express_gap);
-    parser.addInt("df-routers",
-                  "override: dragonfly routers per group (0 = grid "
-                  "cell's)",
-                  &df_routers);
-    parser.addInt("df-global",
-                  "override: dragonfly global channels per router "
-                  "(0 = grid cell's)",
-                  &df_global);
-    parser.addFlag("tail-ack", "replay override: force tail acks on",
-                   &tail_ack);
-    parser.addFlag("hardware-acks",
-                   "replay override: force hardware ack signalling on",
-                   &hardware_acks);
-    parser.addDouble("load", "replay override: offered load",
-                     &load_override);
-    parser.addString("classes",
-                     "replay override: workload classes spec "
-                     "(\"pattern=<name>,load=<f>[,burst=][,duty=]"
-                     "[,outstanding=]...\" joined by ';'), replacing "
-                     "the grid cell's traffic",
-                     &classes_spec);
-    parser.addUint64("inject", "replay override: injection window",
-                     &inject_override);
-    parser.addInt("node-kills", "replay override: node kill count",
-                  &node_kills);
-    parser.addInt("link-kills", "replay override: link kill count",
-                  &link_kills);
-    parser.addInt("intermittents",
-                  "replay override: intermittent fault count",
-                  &intermittents);
-    parser.addString("fault-events",
-                     "replay override: pinned fault timeline "
-                     "(at:kind:node:port:down,... with kind n|l|i); "
-                     "replaces the randomized schedule",
-                     &fault_events);
-    parser.addDouble("fault-scale",
-                     "global multiplier on the per-campaign fault mix",
-                     &fault_scale);
-    parser.addFlag("recovery",
-                   "knot-triggered deadlock recovery mode: heal knots "
-                   "by victim abort + retransmit instead of reserving "
-                   "escape bandwidth",
-                   &recovery);
-    parser.addString("victim",
-                     "recovery victim policy: youngest | fewest-hops "
-                     "| random",
-                     &victim);
-    parser.addFlag("compare",
-                   "headline experiment: avoidance vs recovery over "
-                   "the grid across a fault-intensity axis",
-                   &compare);
-    parser.addString("json",
-                     "write per-campaign structured results (CWG "
-                     "counts, warnings, recovery stats) to this file",
-                     &json_path);
-    parser.addFlag("no-shrink", "report failures without minimizing",
-                   &no_shrink);
-    parser.addFlag("verbose", "print every violation in full", &verbose);
-    parser.addFlag("no-event-skip",
-                   "disable the event engine's idle-cycle fast path "
-                   "(step every cycle; results are bit-identical)",
-                   &no_event_skip);
-    tools::addShardOptions(parser, &shardcli);
-    tools::addCheckpointOptions(parser, &ckcli);
+        "event-by-event to a minimal replayable case. A given option "
+        "beats every grid cell");
+    cli.bind(parser);
 
+    if (const auto rc = parser.parseOrExit(argc, argv, 2))
+        return *rc;
+    const bool replay = parser.given("replay-seed");
     std::string error;
-    if (!parser.parse(argc, argv, &error)) {
-        std::fprintf(stderr, "error: %s\n\n%s", error.c_str(),
-                     parser.usage().c_str());
-        return 2;
-    }
-    if (parser.helpRequested()) {
-        std::fputs(parser.usage().c_str(), stdout);
-        return 0;
-    }
-
-    std::vector<FaultEvent> scripted;
-    if (!parseFaultEvents(fault_events, &scripted)) {
-        std::fprintf(stderr, "error: malformed --fault-events '%s'\n",
-                     fault_events.c_str());
-        return 2;
-    }
-
-    VictimPolicy victim_policy = VictimPolicy::YoungestMessage;
-    if (!parseVictimPolicyName(victim, &victim_policy)) {
-        std::fprintf(stderr, "error: unknown victim policy '%s'\n",
-                     victim.c_str());
-        return 2;
-    }
-
-    TopologyKind topo_override = TopologyKind::Torus;
-    if (!topology.empty() &&
-        !parseTopologyName(topology, &topo_override)) {
-        std::fprintf(stderr, "error: unknown topology '%s'\n",
-                     topology.c_str());
-        return 2;
-    }
-
-    base.eventEngine = base.eventEngine && !no_event_skip;
-
-    const std::vector<GridPoint> grid = buildGrid();
-
-    const bool replay = replay_seed != 0;
-    if (!tools::resolveShardCli(&shardcli, !json_path.empty(), replay,
+    if (!cli.resolve(&error) ||
+        !tools::resolveShardCli(&cli.shard, !cli.jsonPath.empty(), replay,
                                 &error) ||
-        !tools::validateCheckpointCli(ckcli, replay, &error)) {
+        !tools::validateCheckpointCli(cli.checkpoint, replay, &error)) {
         std::fprintf(stderr, "error: %s\n", error.c_str());
         return 2;
     }
+    if (cli.campaigns < 1) {
+        // A gate that runs zero campaigns passes vacuously; refuse.
+        std::fprintf(stderr, "error: --campaigns must be >= 1\n");
+        return 2;
+    }
 
-    if (compare) {
-        if (tools::sharded(shardcli) || !shardcli.mergeDir.empty() ||
-            !shardcli.manifestPath.empty() ||
-            tools::checkpointArmed(ckcli)) {
+    if (cli.compare) {
+        if (tools::sharded(cli.shard) || !cli.shard.mergeDir.empty() ||
+            !cli.shard.manifestPath.empty() ||
+            tools::checkpointArmed(cli.checkpoint)) {
             std::fprintf(stderr, "error: sharding/checkpoint options "
                                  "cannot be combined with --compare\n");
             return 2;
         }
-        if (campaigns < 1) {
-            std::fprintf(stderr, "error: --campaigns must be >= 1\n");
-            return 2;
+        for (const char *axis :
+             {"classes", "recovery", "fault-scale", "node-kills",
+              "link-kills", "intermittents", "fault-events"}) {
+            if (parser.given(axis)) {
+                std::fprintf(stderr, "error: --%s is an axis of "
+                                     "--compare\n",
+                             axis);
+                return 2;
+            }
         }
-        return runComparison(base, grid, seed, campaigns, jobs,
-                             max_cycles, drain_cycles, victim_policy,
-                             json_path);
+        return runComparison(cli);
     }
 
     std::vector<std::uint64_t> seeds;
     if (replay) {
-        seeds.push_back(replay_seed);
+        seeds.push_back(cli.replaySeed);
     } else {
-        if (campaigns < 1) {
-            std::fprintf(stderr, "error: --campaigns must be >= 1\n");
-            return 2;
-        }
-        for (int i = 0; i < campaigns; ++i)
-            seeds.push_back(seed + static_cast<std::uint64_t>(i));
+        for (int i = 0; i < cli.campaigns; ++i)
+            seeds.push_back(cli.seed + static_cast<std::uint64_t>(i));
     }
 
     std::vector<CampaignSpec> specs;
     specs.reserve(seeds.size());
     for (std::uint64_t s : seeds) {
-        GridPoint g = grid[s % grid.size()];
-        CampaignSpec spec = buildSpec(base, g, s, max_cycles,
-                                      drain_cycles, fault_scale);
-        // Replay overrides reproduce a shrunk case exactly.
-        if (!protocol.empty() &&
-            !parseProtocolName(protocol, &spec.cfg.protocol)) {
-            std::fprintf(stderr, "error: unknown protocol '%s'\n",
-                         protocol.c_str());
-            return 2;
-        }
-        if (scout_k >= 0)
-            spec.cfg.scoutK = scout_k;
-        if (k_override > 0)
-            spec.cfg.k = k_override;
-        if (n_override > 0)
-            spec.cfg.n = n_override;
-        if (!topology.empty()) {
-            spec.cfg.topology = topo_override;
-            spec.cfg.wrap = topo_override != TopologyKind::Mesh;
-        }
-        if (express_gap > 0)
-            spec.cfg.expressGap = express_gap;
-        if (df_routers > 0)
-            spec.cfg.dfRouters = df_routers;
-        if (df_global > 0)
-            spec.cfg.dfGlobal = df_global;
-        if (!topology.empty()) {
-            // A topology override re-bases the whole grid, including
-            // workload cells whose patterns are defined on cube
-            // coordinates or node-index bits. Coerce those to uniform
-            // (keeping load, bursts, priorities, and closed-loop
-            // settings) rather than dying in validate(); an explicit
-            // --classes below still rejects loudly.
-            const bool cube =
-                spec.cfg.effectiveTopology() != TopologyKind::Dragonfly;
-            const int nn = spec.cfg.nodes();
-            const bool pow2 = (nn & (nn - 1)) == 0;
-            const auto unsupported = [&](TrafficPattern p) {
-                if (!cube)
-                    return p != TrafficPattern::Uniform;
-                return !pow2 && (p == TrafficPattern::BitReversal ||
-                                 p == TrafficPattern::Shuffle);
-            };
-            if (unsupported(spec.cfg.pattern))
-                spec.cfg.pattern = TrafficPattern::Uniform;
-            for (TrafficClassConfig &tc : spec.cfg.trafficClasses)
-                if (unsupported(tc.pattern))
-                    tc.pattern = TrafficPattern::Uniform;
-        }
-        if (tail_ack)
-            spec.cfg.tailAck = true;
-        if (hardware_acks)
-            spec.cfg.hardwareAcks = true;
-        if (load_override >= 0.0)
-            spec.cfg.load = load_override;
-        if (!classes_spec.empty()) {
-            std::string clsErr;
-            if (!parseTrafficClasses(classes_spec,
-                                     &spec.cfg.trafficClasses,
-                                     &clsErr)) {
-                std::fprintf(stderr, "error: --classes: %s\n",
-                             clsErr.c_str());
-                return 2;
-            }
-        }
-        if (inject_override > 0) {
-            spec.injectCycles = inject_override;
-            spec.faults.horizon = inject_override;
-            spec.faults.earliest = inject_override / 100;
-        }
-        if (node_kills >= 0)
-            spec.faults.nodeKills = node_kills;
-        if (link_kills >= 0)
-            spec.faults.linkKills = link_kills;
-        if (intermittents >= 0)
-            spec.faults.intermittents = intermittents;
-        if (recovery) {
-            spec.cfg.recoveryMode = true;
-            spec.cfg.victimPolicy = victim_policy;
-        }
-        if (!scripted.empty())
-            spec.scriptedFaults = scripted;
+        CampaignSpec spec = cli.spec(s, cli.faultScale);
         if (replay)
-            tools::applyCheckpointCli(ckcli, &spec);
+            tools::applyCheckpointCli(cli.checkpoint, &spec);
         specs.push_back(spec);
     }
+    const bool recovery = specs.front().cfg.recoveryMode;
 
     // Sharded execution: the full spec list above is exactly what a
     // monolithic run would execute, so the shard keys, the manifest,
     // and the merge validation all derive from it.
-    if (!shardcli.mergeDir.empty())
-        return tools::runMergeShards(shardcli, "tpnet_verify", specs,
-                                     json_path);
-    if (!tools::writeShardManifest(shardcli, "tpnet_verify", specs)) {
-        std::fprintf(stderr, "error: cannot write '%s'\n",
-                     shardcli.manifestPath.c_str());
-        return 2;
-    }
-
-    const bool shard_mode = tools::sharded(shardcli);
-    const std::size_t shard_total = specs.size();
-    std::uint64_t shard_key = 0;
-    std::vector<std::size_t> owned;
-    if (shard_mode) {
-        shard_key = shardKey(specs, shardcli.shard);
-        owned = shardIndices(shard_total, shardcli.shard);
-        const int cached = tools::tryShardCache(
-            shardcli, "tpnet_verify", shard_key, shard_total,
-            json_path);
-        if (cached >= 0)
-            return cached;
-        std::vector<CampaignSpec> mine;
-        std::vector<std::uint64_t> mine_seeds;
-        mine.reserve(owned.size());
-        mine_seeds.reserve(owned.size());
-        for (std::size_t idx : owned) {
-            mine.push_back(specs[idx]);
-            mine_seeds.push_back(seeds[idx]);
-        }
-        specs.swap(mine);
-        seeds.swap(mine_seeds);
-        std::printf("# shard %d/%d: owns %zu of %zu campaign(s), "
-                    "key %s\n",
-                    shardcli.shard.index, shardcli.shard.count,
-                    specs.size(), shard_total,
-                    hex64(shard_key).c_str());
-    }
+    tools::ShardRun shard;
+    if (const auto rc = tools::enterShard(cli.shard, "tpnet_verify",
+                                          &specs, &seeds, cli.jsonPath,
+                                          &shard))
+        return *rc;
 
     std::printf("# tpnet_verify: %zu campaign(s), grid of %zu cells "
                 "(8-ary/16-ary 2-cubes, binary/4-ary 3-cubes, mesh, "
                 "express cube, dragonfly, ack variants, workload "
                 "cells), inject %llu + drain %llu "
                 "cycles, CWG armed%s\n",
-                seeds.size(), grid.size(),
-                static_cast<unsigned long long>(max_cycles),
-                static_cast<unsigned long long>(drain_cycles),
+                seeds.size(), cli.grid.size(),
+                static_cast<unsigned long long>(cli.maxCycles),
+                static_cast<unsigned long long>(cli.drain),
                 recovery ? ", RECOVERY mode" : "");
 
     const std::vector<CampaignResult> results =
-        runCampaigns(specs, jobs);
+        runCampaigns(specs, cli.jobs);
 
     int failures = 0;
     std::uint64_t cycles_seen = 0;
@@ -887,9 +314,9 @@ main(int argc, char **argv)
         retx_seen += r.counters.healRetransmits;
         esc_seen += r.counters.healEscalations;
         std::printf("%-40s %s\n",
-                    describe(grid[seeds[i] % grid.size()]).c_str(),
+                    describe(specs[i].cfg, cli.cell(seeds[i])).c_str(),
                     r.summary().c_str());
-        if (verbose) {
+        if (cli.verbose) {
             for (const std::string &w : r.warnings)
                 std::printf("    ~ %s\n", w.c_str());
         }
@@ -899,7 +326,7 @@ main(int argc, char **argv)
         }
         ++failures;
         const std::size_t show =
-            verbose ? r.violations.size()
+            cli.verbose ? r.violations.size()
                     : std::min<std::size_t>(r.violations.size(), 5);
         for (std::size_t j = 0; j < show; ++j)
             std::printf("    ! %s\n", r.violations[j].c_str());
@@ -908,7 +335,7 @@ main(int argc, char **argv)
                         r.violations.size() - show);
         }
         const std::size_t dump =
-            verbose ? r.liveDump.size()
+            cli.verbose ? r.liveDump.size()
                     : std::min<std::size_t>(r.liveDump.size(), 10);
         for (std::size_t j = 0; j < dump; ++j)
             std::printf("    live %s\n", r.liveDump[j].c_str());
@@ -916,19 +343,19 @@ main(int argc, char **argv)
             std::printf("    live ... %zu more (--verbose for all)\n",
                         r.liveDump.size() - dump);
         }
-        if (!no_shrink) {
+        if (!cli.noShrink) {
             const ShrinkOutcome shrunk =
                 shrinkCampaign(specs[i], runCampaign);
             std::printf("    shrunk %d class step(s) + %d event "
                         "step(s)%s -> minimal replay:\n"
-                        "      %s\n",
+                        "      tpnet_verify %s\n",
                         shrunk.classSteps, shrunk.eventSteps,
                         shrunk.eventsPinned ? ""
                                             : " (timeline not pinned)",
-                        replayCommand(shrunk.spec).c_str());
+                        joinArgs(cli.replayArgs(shrunk.spec)).c_str());
         } else if (!replay) {
-            std::printf("    replay: tpnet_verify --replay-seed %llu\n",
-                        static_cast<unsigned long long>(seeds[i]));
+            std::printf("    replay: tpnet_verify %s\n",
+                        joinArgs(cli.replayArgs(specs[i])).c_str());
         }
         std::fflush(stdout);
     }
@@ -947,17 +374,12 @@ main(int argc, char **argv)
                     static_cast<unsigned long long>(retx_seen),
                     static_cast<unsigned long long>(esc_seen));
     }
-    if (replay && tools::checkpointArmed(ckcli))
-        tools::printCheckpointReport(ckcli, results[0]);
-    if (shard_mode
-            ? !tools::writeShardOutputs(shardcli, "tpnet_verify",
-                                        shard_key, shard_total, owned,
-                                        results, json_path)
-            : (!json_path.empty() &&
-               !writeCampaignJson(json_path, "tpnet_verify",
-                                  results))) {
+    if (replay && tools::checkpointArmed(cli.checkpoint))
+        tools::printCheckpointReport(cli.checkpoint, results[0]);
+    if (!tools::writeResults(cli.shard, shard, "tpnet_verify", results,
+                             cli.jsonPath)) {
         std::fprintf(stderr, "error: cannot write '%s'\n",
-                     json_path.c_str());
+                     cli.jsonPath.c_str());
         return 2;
     }
     if (failures == 0) {
